@@ -6,7 +6,7 @@ lines), map (apply a named bijection to a JSON object on stdin), induct
 (run a named check suite), export (DOT output).
 
 Exit codes: 0 ok, 1 usage error, 2 verification mismatch, 3 validation error.
-Set CLUSTERCOMB_MAX_WORK to raise the enumeration work ceiling.
+Set CLUSTERCOMB_MAX_WORK to raise the enumeration and orbit work ceiling.
 """
 from __future__ import annotations
 
@@ -168,13 +168,9 @@ def _cmd_induct(args) -> int:
 
 def _cmd_orbit(args) -> int:
     tree = ColouredTree.from_json(sys.stdin.read())
-    orb = sorted(orbit(tree), key=lambda t: t.edges)
-    print(
-        json.dumps(
-            {"size": len(orb), "orbit": [json.loads(t.to_json()) for t in orb]},
-            separators=(",", ":"),
-        )
-    )
+    orb = [{"k": t.k, "m": t.m, "edges": [list(e) for e in t.edges]}
+           for t in sorted(orbit(tree), key=lambda t: t.edges)]
+    print(json.dumps({"size": len(orb), "orbit": orb}, separators=(",", ":")))
     return 0
 
 

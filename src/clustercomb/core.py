@@ -242,44 +242,34 @@ class Chain:
         return frozenset(self.vertices)
 
 
+def _chain_path(adj: dict[int, dict[int, int]], v: int, i: int, j: int) -> tuple[int, ...]:
+    """The maximal S_i-S_j chain through v, as a vertex path from its smaller
+    end.  Each vertex has at most one edge of each colour, so walking away
+    from v along S_i (or S_j) and alternating colours traces one half of the
+    chain; the cost is the chain's length."""
+    halves = []
+    for c in (i, j):
+        half, w = [], v
+        while c in adj[w]:
+            w = adj[w][c]
+            half.append(w)
+            c = i + j - c
+        halves.append(half)
+    path = halves[0][::-1] + [v] + halves[1]
+    return tuple(path if path[0] <= path[-1] else reversed(path))
+
+
 def maximal_chains(tree: ColouredForest, i: int, j: int) -> list[Chain]:
     """All maximal S_i-S_j chains; their vertex sets partition 1..k."""
     if not (1 <= i < j <= tree.m):
         raise VertexOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
-    # The subgraph on colours {i, j} has max degree 2 and no cycles, so its
-    # components are paths (possibly single vertices).
-    nbrs: dict[int, list[int]] = {v: [] for v in range(1, tree.k + 1)}
-    for v in range(1, tree.k + 1):
-        for c in (i, j):
-            w = tree.adjacency[v].get(c)
-            if w is not None:
-                nbrs[v].append(w)
     chains = []
     seen: set[int] = set()
     for v in range(1, tree.k + 1):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        ends = sorted(x for x in comp if len(nbrs[x]) <= 1)
-        start = ends[0]
-        path = [start]
-        prev = None
-        cur = start
-        while True:
-            nxt = [y for y in nbrs[cur] if y != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        chains.append(Chain(i, j, tuple(path)))
+        if v not in seen:
+            path = _chain_path(tree.adjacency, v, i, j)
+            seen.update(path)
+            chains.append(Chain(i, j, path))
     chains.sort(key=lambda ch: ch.vertices[0])
     return chains
 

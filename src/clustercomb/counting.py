@@ -30,8 +30,8 @@ def _work_limit() -> int:
     return int(env) if env else DEFAULT_MAX_WORK
 
 
-def _guard(kind: str, bound: int) -> None:
-    limit = _work_limit()
+def _guard(kind: str, bound: int, limit: int | None = None) -> None:
+    limit = _work_limit() if limit is None else limit
     if bound > limit:
         raise SizeLimitExceeded(
             f"{kind}: output bound {bound} exceeds work limit {limit} "
@@ -141,7 +141,8 @@ def enumerate_trees(
     filtered by circular order.  Backtracks over candidate edges in the
     canonical (min endpoint, max endpoint, colour) order, keeping the partial
     edge set a properly coloured forest throughout."""
-    _guard("enumerate_trees", u_count(k, m) if m >= 3 and k >= 1 else 2)
+    # u_count is Gessel's count for m >= 2; with one colour only k <= 2 has a tree
+    _guard("enumerate_trees", u_count(k, m) if m >= 2 and k >= 1 else int(k <= 2))
     if order is not None and not isinstance(order, CircularOrder):
         order = CircularOrder(tuple(order))
     cands = [

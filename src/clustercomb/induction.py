@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Chain, ColouredTree, circular_order, maximal_chains
+from .core import Chain, ColouredTree, _chain_path, circular_order, maximal_chains
+from .counting import _guard, _work_limit, t_count
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     NotMaximalChain,
     SizeLimitExceeded,
     SymbolMismatch,
+    VertexOutOfRange,
     WrongColourSet,
 )
 
@@ -45,15 +47,21 @@ class InductionStep:
 
 
 def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
+    """The maximal S_i-S_j chain with the given vertex set, walked from any
+    one of its vertices (a maximal chain is determined by each of them)."""
     if isinstance(chain, Chain):
         if (chain.i, chain.j) != (i, j):
             raise SymbolMismatch(f"chain is for colours ({chain.i},{chain.j}), not ({i},{j})")
         want = chain.vertex_set
     else:
         want = frozenset(chain)
-    for c in maximal_chains(tree, i, j):
-        if c.vertex_set == want:
-            return c
+    if not (1 <= i < j <= tree.m):
+        raise VertexOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
+    v = next(iter(want), None)
+    if v in tree.adjacency:
+        path = _chain_path(tree.adjacency, v, i, j)
+        if frozenset(path) == want:
+            return Chain(i, j, path)
     raise NotMaximalChain(f"{sorted(want)} is not a maximal S_{i}-S_{j} chain")
 
 
@@ -62,20 +70,16 @@ def _apply(tree: ColouredTree, chain, i: int, j: int, swap_colour: int) -> Colou
     path = c.vertices
     if len(path) == 1:
         return tree
-    chain_edges = []
-    for a, b in zip(path, path[1:]):
-        chain_edges.append((a, b, tree.colour_of(a, b)))
+    chain_edges = [(a, b, tree.colour_of(a, b)) for a, b in zip(path, path[1:])]
     # simultaneous label swap across every chain edge of the swapped colour
     lab = {v: v for v in path}
     for a, b, col in chain_edges:
         if col == swap_colour:
             lab[a], lab[b] = b, a
     other = {i: j, j: i}
-    new_chain = [
-        (lab[a], lab[b], other[col]) for a, b, col in chain_edges
-    ]
-    keep = [e for e in tree.edges if frozenset((e[0], e[1])) not in
-            {frozenset((a, b)) for a, b, _ in chain_edges}]
+    new_chain = [(lab[a], lab[b], other[col]) for a, b, col in chain_edges]
+    on_chain = {(min(a, b), max(a, b)) for a, b, _ in chain_edges}
+    keep = [e for e in tree.edges if e[:2] not in on_chain]
     return ColouredTree(tree.k, tree.m, tuple(keep) + tuple(new_chain))
 
 
@@ -214,9 +218,15 @@ def _unwind(target, parents, l):
 
 
 def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[ColouredTree]:
-    """The induction equivalence class of a tree: BFS closure under all
-    adjacent R_i and L_i over all maximal chains."""
-    limit = max_size if max_size is not None else 1_000_000
+    """The induction equivalence class of a tree: BFS closure under adjacent
+    R_i over all nontrivial maximal chains.  L_i adds nothing: on the finite
+    set X_c of trees in which c is a nontrivial maximal S_i-S_{i+1} chain,
+    R_i on c is a permutation (L_i inverts it), so L_i = R_i^{p-1} and the
+    forward R-closure is the whole class.  The class has T_{k,m} members and
+    is refused before any step when that exceeds `max_size` (default: the
+    CLUSTERCOMB_MAX_WORK work limit)."""
+    limit = max_size if max_size is not None else _work_limit()
+    _guard("orbit", t_count(tree.k, tree.m) if tree.m >= 2 else 1, limit)
     seen = {tree}
     frontier = [tree]
     while frontier:
@@ -226,15 +236,12 @@ def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[Coloured
                 for c in maximal_chains(t, i, i + 1):
                     if len(c.vertices) == 1:
                         continue
-                    for fn in (apply_R, apply_L):
-                        t2 = fn(t, c, i, i + 1)
-                        if t2 not in seen:
-                            seen.add(t2)
-                            if len(seen) > limit:
-                                raise SizeLimitExceeded(
-                                    f"orbit exceeded {limit} trees"
-                                )
-                            nxt.append(t2)
+                    t2 = apply_R(t, c, i)
+                    if t2 not in seen:
+                        seen.add(t2)
+                        if len(seen) > limit:
+                            raise SizeLimitExceeded(f"orbit exceeded {limit} trees")
+                        nxt.append(t2)
         frontier = nxt
     return frozenset(seen)
 

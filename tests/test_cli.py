@@ -107,6 +107,29 @@ def test_orbit(capsys, monkeypatch):
     assert data["size"] == 9 and len(data["orbit"]) == 9
 
 
+def test_orbit_output_matches_to_json(capsys, monkeypatch):
+    from clustercomb.core import ColouredTree
+    from clustercomb.induction import orbit
+
+    tree = '{"k":5,"m":3,"edges":[[1,2,1],[2,3,2],[3,4,3],[3,5,1]]}'
+    code, out, _ = run(capsys, ["orbit"], stdin=tree, monkeypatch=monkeypatch)
+    assert code == 0
+    orb = sorted(orbit(ColouredTree.from_json(tree)), key=lambda t: t.edges)
+    old = json.dumps(
+        {"size": len(orb), "orbit": [json.loads(t.to_json()) for t in orb]},
+        separators=(",", ":"),
+    )
+    assert out == old + "\n"
+
+
+def test_orbit_refused_by_work_limit(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "100")
+    tree = '{"k":6,"m":3,"edges":[[1,2,1],[2,3,2],[3,4,3],[4,5,1],[5,6,2]]}'
+    code, out, err = run(capsys, ["orbit"], stdin=tree, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert "297" in err and "100" in err
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, ["verify", "formulas"])
     assert code == 0

@@ -104,6 +104,41 @@ def test_maximal_chains_partition():
             assert sorted(verts) == list(range(1, 6))
 
 
+def _component_walk_chains(tree, i, j):
+    """Reference: maximal chains found by collecting each component of the
+    S_i/S_j subgraph and walking it from its smaller end."""
+    nbrs = {v: [w for c in (i, j) if (w := tree.adjacency[v].get(c)) is not None]
+            for v in range(1, tree.k + 1)}
+    chains, seen = [], set()
+    for v in range(1, tree.k + 1):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        prev, cur = None, min(x for x in comp if len(nbrs[x]) <= 1)
+        path = [cur]
+        while nxt := [y for y in nbrs[cur] if y != prev]:
+            prev, cur = cur, nxt[0]
+            path.append(cur)
+        chains.append(tuple(path))
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("k,m", [(5, 3), (4, 4)])
+def test_maximal_chains_match_component_walk(k, m):
+    for t in enumerate_trees(k, m):
+        for i in range(1, m):
+            for j in range(i + 1, m + 1):
+                got = maximal_chains(t, i, j)
+                assert all((c.i, c.j) == (i, j) for c in got)
+                assert [c.vertices for c in got] == _component_walk_chains(t, i, j)
+
+
 def test_canonical_unlabelled():
     single = validate_tree([], 1, 3)
     assert canonical_unlabelled(single).tree == single

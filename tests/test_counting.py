@@ -135,6 +135,15 @@ def test_enumerate_angulations_counts():
         assert sum(1 for _ in enumerate_angulations(k, 3)) == s_count(k, 3)
 
 
+def test_work_guard_two_colours():
+    # u_count(12, 2) = 12! trees: refused although m < 3
+    with pytest.raises(SizeLimitExceeded):
+        next(enumerate_trees(12, 2))
+    for k in range(1, 7):
+        assert sum(1 for _ in enumerate_trees(k, 2)) == u_count(k, 2) == math.factorial(k)
+    assert [sum(1 for _ in enumerate_trees(k, 1)) for k in (1, 2, 3)] == [1, 1, 0]
+
+
 def test_work_guard(monkeypatch):
     monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "10")
     with pytest.raises(SizeLimitExceeded):

@@ -1,6 +1,8 @@
 import pytest
 
+from clustercomb import induction
 from clustercomb.core import (
+    Chain,
     CircularOrder,
     canonical_unlabelled,
     circular_order,
@@ -12,6 +14,9 @@ from clustercomb.errors import (
     DimensionMismatch,
     HypothesisViolated,
     NotMaximalChain,
+    SizeLimitExceeded,
+    SymbolMismatch,
+    VertexOutOfRange,
     WrongColourSet,
 )
 from clustercomb.induction import (
@@ -61,6 +66,25 @@ def test_apply_R_rejects_bad_chain():
     t = validate_tree([(1, 2, 1), (2, 3, 2)], 3, 3)
     with pytest.raises(NotMaximalChain):
         apply_R(t, (1, 2), 1, 2)  # not maximal: 3 is attached by S_2
+
+
+@pytest.mark.parametrize(
+    "chain,i,j,error",
+    [
+        ((), 1, 2, NotMaximalChain),
+        ((9,), 1, 2, NotMaximalChain),
+        ((0, 1), 1, 2, NotMaximalChain),
+        ((1, 2, 3), 0, 1, VertexOutOfRange),
+        ((1, 2, 3), 2, 4, VertexOutOfRange),
+        ((2, 3), 1, 2, NotMaximalChain),  # 1 is attached by S_1
+        (Chain(1, 3, (1, 2)), 1, 2, SymbolMismatch),
+    ],
+)
+def test_bad_chain_error_classes(chain, i, j, error):
+    t = validate_tree([(1, 2, 1), (2, 3, 2)], 3, 3)
+    for fn in (apply_R, apply_L):
+        with pytest.raises(error):
+            fn(t, chain, i, j)
 
 
 def test_subtrees_reattach_by_label():
@@ -137,7 +161,7 @@ def test_orbit_sizes():
 
 
 def test_orbit_equals_sigma_class():
-    for k, m in ((3, 3), (3, 4)):
+    for k, m in ((3, 3), (3, 4), (4, 3), (4, 4)):
         trees = list(enumerate_trees(k, m))
         by_sigma = {}
         for t in trees:
@@ -146,6 +170,19 @@ def test_orbit_equals_sigma_class():
             orb = orbit(cls[0])
             assert orb == frozenset(cls)
             assert len(orb) == t_count(k, m)
+
+
+def test_orbit_refused_before_any_step(monkeypatch):
+    t = next(enumerate_trees(6, 3, CircularOrder.descending(6)))
+    calls = []
+    monkeypatch.setattr(induction, "apply_R", lambda *a: calls.append(a))
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "100")
+    with pytest.raises(SizeLimitExceeded):
+        orbit(t)  # T_{6,3} = 297 > 100
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK")
+    with pytest.raises(SizeLimitExceeded):
+        orbit(t, max_size=296)
+    assert calls == []
 
 
 def test_equivalent():
