@@ -29,6 +29,7 @@ from .core import ColouredTree
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
+    InvariantBroken,
     NotADiagonal,
     NotASnake,
     SymbolOutOfRange,
@@ -43,30 +44,30 @@ Face = tuple[int, ...]
 
 def _split_faces(region: tuple[int, ...], diags: Iterable[Diagonal]) -> list[Face]:
     """Faces of the dissection a set of noncrossing chords induces on a
-    cyclically ordered region."""
-    diags = list(diags)
+    cyclically ordered region, in one stack pass: a chord from an earlier
+    position q closes the face of q, the positions stacked above it and the
+    current one (innermost chord first); what stays stacked is the last face."""
+    pos = {v: idx for idx, v in enumerate(region)}
+    ln = len(region)
+    back: dict[int, set[int]] = {}
+    for a, b in diags:
+        pa, pb = pos.get(a), pos.get(b)
+        if pa is None or pb is None:
+            continue
+        if pa > pb:
+            pa, pb = pb, pa
+        if pb - pa != 1 and not (pa == 0 and pb == ln - 1):
+            back.setdefault(pb, set()).add(pa)
     out: list[Face] = []
-    stack = [tuple(region)]
-    while stack:
-        reg = stack.pop()
-        pos = {v: idx for idx, v in enumerate(reg)}
-        ln = len(reg)
-        cut = None
-        for a, b in diags:
-            pa, pb = pos.get(a), pos.get(b)
-            if pa is None or pb is None:
-                continue
-            if pa > pb:
-                pa, pb = pb, pa
-            if pb - pa != 1 and not (pa == 0 and pb == ln - 1):
-                cut = (pa, pb)
-                break
-        if cut is None:
-            out.append(tuple(sorted(reg)))
-        else:
-            pa, pb = cut
-            stack.append(reg[pa : pb + 1])
-            stack.append(reg[pb:] + reg[: pa + 1])
+    stack: list[int] = []
+    depth = [0] * ln  # index of each position on the stack when pushed
+    for p in range(ln):
+        for q in sorted(back.get(p, ()), reverse=True):
+            out.append(tuple(sorted([region[x] for x in stack[depth[q] :]] + [region[p]])))
+            del stack[depth[q] + 1 :]
+        depth[p] = len(stack)
+        stack.append(p)
+    out.append(tuple(sorted(region[x] for x in stack)))
     return out
 
 
@@ -113,10 +114,16 @@ class MAngulation:
             if (a, b) in seen:
                 raise WrongDiagonalCount(f"diagonal [{a},{b}] repeated")
             seen.add((a, b))
-        for i, (a, b) in enumerate(self.diagonals):
-            for c, d in self.diagonals[i + 1 :]:
-                if (a < c < b < d) or (c < a < d < b):
-                    raise DiagonalsCross(f"[{a},{b}] crosses [{c},{d}]")
+        # nesting pass: the stack holds the diagonals enclosing the current
+        # start a; one ending strictly between a and b crosses [a,b]
+        enclosing: list[Diagonal] = []
+        for a, b in sorted(self.diagonals, key=lambda d: (d[0], -d[1])):
+            while enclosing and enclosing[-1][1] <= a:
+                enclosing.pop()
+            if enclosing and enclosing[-1][1] < b:
+                c, d = enclosing[-1]
+                raise DiagonalsCross(f"[{c},{d}] crosses [{a},{b}]")
+            enclosing.append((a, b))
         for f in self.faces:
             if len(f) != self.m:
                 raise WrongFaceShape(f"face {f} is not an {self.m}-gon")
@@ -157,10 +164,7 @@ class MAngulation:
         raise NotADiagonal(f"{edge} is not an edge of the dissection")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "k": self.k, "diagonals": [list(d) for d in self.diagonals]},
-            separators=(",", ":"),
-        )
+        return _encode(self.m, self.k, self.diagonals)
 
     @classmethod
     def from_json(cls, text: str) -> "MAngulation":
@@ -170,6 +174,19 @@ class MAngulation:
 
 def validate_angulation(raw: dict) -> MAngulation:
     return MAngulation(raw["m"], raw["k"], tuple(tuple(d) for d in raw["diagonals"]))
+
+
+def _encode(m: int, k: int, diagonals, colours=None, root=None, labels=None) -> str:
+    """The JSON text of an angulation's fields, the one format behind every
+    to_json and the ranking in canonical_rotation."""
+    d = {"m": m, "k": k, "diagonals": [list(x) for x in diagonals]}
+    if colours is not None:
+        d["colours"] = {_edge_key(e): c for e, c in colours}
+    if root is not None:
+        d["root"] = _face_key(root)
+    if labels is not None:
+        d["labels"] = {_face_key(f): l for f, l in labels}
+    return json.dumps(d, separators=(",", ":"))
 
 
 def _edge_key(e: Diagonal) -> str:
@@ -222,15 +239,7 @@ class ColouredAngulation:
         return self.ang.k
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.ang.m,
-                "k": self.ang.k,
-                "diagonals": [list(d) for d in self.ang.diagonals],
-                "colours": {_edge_key(e): c for e, c in self.colours},
-            },
-            separators=(",", ":"),
-        )
+        return _encode(self.m, self.k, self.ang.diagonals, self.colours)
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredAngulation":
@@ -250,9 +259,8 @@ class RootedAngulation:
             raise WrongFaceShape(f"root {self.root} is not a face")
 
     def to_json(self) -> str:
-        d = json.loads(self.base.to_json())
-        d["root"] = _face_key(self.root)
-        return json.dumps(d, separators=(",", ":"))
+        b = self.base
+        return _encode(b.m, b.k, b.ang.diagonals, b.colours, root=self.root)
 
     @classmethod
     def from_json(cls, text: str) -> "RootedAngulation":
@@ -280,9 +288,8 @@ class LabelledAngulation:
         return dict(self.labels)
 
     def to_json(self) -> str:
-        d = json.loads(self.base.to_json())
-        d["labels"] = {_face_key(f): l for f, l in self.labels}
-        return json.dumps(d, separators=(",", ":"))
+        b = self.base
+        return _encode(b.m, b.k, b.ang.diagonals, b.colours, labels=self.labels)
 
     @classmethod
     def from_json(cls, text: str) -> "LabelledAngulation":
@@ -340,11 +347,8 @@ def _primitive_rotate(n: int, diags: set[Diagonal], d: Diagonal) -> Diagonal:
     if d not in diags:
         raise NotADiagonal(f"{d} is not a diagonal of the dissection")
     a, b = d
-    others = [x for x in diags if x != d]
-    span1 = tuple(range(a, b + 1))
-    span2 = tuple(range(b, n + 1)) + tuple(range(1, a + 1))
-    f1 = next(f for f in _split_faces(span1, others) if a in f and b in f)
-    f2 = next(f for f in _split_faces(span2, others) if a in f and b in f)
+    # the two faces on either side of d are the faces holding both its ends
+    f1, f2 = (f for f in _split_faces(tuple(range(1, n + 1)), diags) if a in f and b in f)
     merged = sorted(set(f1) | set(f2))
     pos = {v: idx for idx, v in enumerate(merged)}
     ln = len(merged)
@@ -428,7 +432,8 @@ def _rotate_region(
     sub = tuple(v for v in region if v not in removed)
     _rotate_region(n, m, diags, sub, seq)
     got = {d for d in diags if d[0] in pos and d[1] in pos and not adjacent(*d)}
-    assert got == expected, f"region rotation drifted on {region}"
+    if got != expected:
+        raise InvariantBroken(f"region rotation drifted on {region}")
 
 
 def _shift_vertex(v: int, t: int, n: int) -> int:
@@ -454,7 +459,8 @@ def rotate_one_step(ang: MAngulation) -> tuple[MAngulation, tuple[Diagonal, ...]
     _rotate_region(ang.n, ang.m, diags, tuple(range(1, ang.n + 1)), seq)
     result = MAngulation(ang.m, ang.k, tuple(sorted(diags)))
     expected = shift(ang, -1)
-    assert result == expected, f"rotation realization drifted: {result} != {expected}"
+    if result != expected:
+        raise InvariantBroken(f"rotation realization drifted: {result} != {expected}")
     return result, tuple(seq)
 
 
@@ -470,45 +476,42 @@ def boundary_face_count(ang: MAngulation) -> int:
 
 # -- canonical rotation --------------------------------------------------------------
 
-def _rotate_coloured(cang: ColouredAngulation, t: int) -> ColouredAngulation:
-    n = cang.ang.n
-    ang = shift(cang.ang, t)
-    colours = tuple(
-        (_norm_edge(_shift_vertex(a, t, n), _shift_vertex(b, t, n)), c)
-        for (a, b), c in cang.colours
-    )
-    return ColouredAngulation(ang, colours)
-
-
 def _rotate_face(f: Face, t: int, n: int) -> Face:
     return tuple(sorted(_shift_vertex(v, t, n) for v in f))
 
 
 def canonical_rotation(obj):
-    """The representative minimizing the JSON encoding over all n rotations;
-    accepts any of the four angulation types."""
-    if isinstance(obj, MAngulation):
-        cands = [shift(obj, t) for t in range(obj.n)]
-    elif isinstance(obj, ColouredAngulation):
-        cands = [_rotate_coloured(obj, t) for t in range(obj.ang.n)]
-    elif isinstance(obj, RootedAngulation):
-        n = obj.base.ang.n
-        cands = [
-            RootedAngulation(_rotate_coloured(obj.base, t), _rotate_face(obj.root, t, n))
-            for t in range(n)
-        ]
-    elif isinstance(obj, LabelledAngulation):
-        n = obj.base.ang.n
-        cands = [
-            LabelledAngulation(
-                _rotate_coloured(obj.base, t),
-                tuple((_rotate_face(f, t, n), l) for f, l in obj.labels),
-            )
-            for t in range(n)
-        ]
-    else:
+    """The representative minimizing the JSON encoding over all n rotations,
+    the first rotation on ties; accepts any of the four angulation types.
+    The rotations are ranked by the encoding of their rotated fields, and only
+    the winner is built, through the validating constructors."""
+    if not isinstance(obj, (MAngulation, ColouredAngulation, RootedAngulation, LabelledAngulation)):
         raise TypeError(f"cannot canonicalize {type(obj)}")
-    return min(cands, key=lambda x: x.to_json())
+    cang = obj if isinstance(obj, ColouredAngulation) else getattr(obj, "base", None)
+    ang = obj if cang is None else cang.ang
+    root, labels, n = getattr(obj, "root", None), getattr(obj, "labels", None), ang.n
+
+    def rotated(t: int) -> tuple:
+        def edge(e: Diagonal) -> Diagonal:
+            return _norm_edge(_shift_vertex(e[0], t, n), _shift_vertex(e[1], t, n))
+
+        return (
+            sorted(edge(d) for d in ang.diagonals),
+            None if cang is None else sorted((edge(e), c) for e, c in cang.colours),
+            None if root is None else _rotate_face(root, t, n),
+            None if labels is None else sorted((_rotate_face(f, t, n), l) for f, l in labels),
+        )
+
+    best = min(range(n), key=lambda t: _encode(ang.m, ang.k, *rotated(t)))
+    diagonals, colours, root, labels = rotated(best)
+    out = MAngulation(ang.m, ang.k, tuple(diagonals))
+    if colours is not None:
+        out = ColouredAngulation(out, tuple(colours))
+    if root is not None:
+        out = RootedAngulation(out, root)
+    if labels is not None:
+        out = LabelledAngulation(out, tuple(labels))
+    return out
 
 
 # -- snakes and induction --------------------------------------------------------------
@@ -606,7 +609,8 @@ def _induct_core(
 
     def shared_diag(f1: Face, f2: Face) -> Diagonal:
         common = sorted(set(f1) & set(f2))
-        assert len(common) == 2
+        if len(common) != 2:
+            raise InvariantBroken(f"snake faces {f1} and {f2} share no diagonal")
         return (common[0], common[1])
 
     diags_between = [shared_diag(faces[t], faces[t + 1]) for t in range(l - 1)]
@@ -662,9 +666,8 @@ def _induct_core(
                     v = v % n + 1
                     arc.append(v)
                 region = tuple(sorted(set(arc) | set(cur_face)))
-                comp_faces = [
-                    f for f in _current_faces(n, work) if set(f) <= set(arc)
-                ]
+                whole = _split_faces(tuple(range(1, n + 1)), work)
+                comp_faces = [f for f in whole if set(f) <= set(arc)]
                 seq: list[Diagonal] = []
                 _rotate_region(n, m, work, region, seq)
                 pos = {v: idx for idx, v in enumerate(region)}
@@ -710,7 +713,8 @@ def _induct_core(
                 deltas.append((start, end, delta))
                 cursor = new_end
                 new_m_verts.append(cursor)
-            assert cursor == V[0], "slot shift did not close up around the face"
+            if cursor != V[0]:
+                raise InvariantBroken("slot shift did not close up around the face")
             for old, new in face_map.items():
                 for start, end, delta in deltas:
                     if all(_in_arc(v, start, end, n) for v in new):
@@ -726,17 +730,14 @@ def _induct_core(
     seed = snake_diag_final[0]
     seed_colour = i if cols[0] == j else j
     result = colour_from_seed(new_ang, seed, seed_colour)
-    assert set(face_map.values()) == set(new_ang.faces), "face tracking lost a face"
+    if set(face_map.values()) != set(new_ang.faces):
+        raise InvariantBroken("face tracking lost a face")
     return result, face_map
 
 
 def _in_arc(v: int, start: int, end: int, n: int) -> bool:
     """v lies on the clockwise arc start..end (inclusive)."""
     return (v - start) % n <= (end - start) % n
-
-
-def _current_faces(n: int, diags: set[Diagonal]) -> list[Face]:
-    return _split_faces(tuple(range(1, n + 1)), diags)
 
 
 def _contiguous_m_cycle(face: Face, e: Diagonal) -> list[int]:

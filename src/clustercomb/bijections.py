@@ -42,6 +42,7 @@ from .diagrams import RnaDiagram, is_connected, is_noncrossing
 from .errors import (
     ConditionAViolated,
     ConditionBViolated,
+    InvariantBroken,
     NotInFamily,
     WrongCircularOrder,
 )
@@ -130,20 +131,23 @@ def tree_to_rooted(tree: ColouredTree) -> RootedTree:
     return RootedTree.from_tree(tree, tree.k)
 
 
-def rooted_to_tree(rooted: RootedTree) -> ColouredTree:
+def _descending_relabel(t: ColouredTree, root: int) -> ColouredTree:
     """Label the root k and sigma^i(root) with k-i; the result has circular
     order (k k-1 ... 1)."""
-    t = rooted.tree
-    k = t.k
     sigma = circular_order(t)
-    label = {}
-    v = rooted.root
-    for i in range(k):
-        label[v] = k - i
+    label, v = {}, root
+    for i in range(t.k):
+        label[v] = t.k - i
         v = sigma(v)
-    relabelled = ColouredTree(k, t.m, tuple((label[u], label[w], c) for u, w, c in t.edges))
-    assert circular_order(relabelled) == CircularOrder.descending(k)
-    return relabelled
+    out = ColouredTree(t.k, t.m, tuple((label[u], label[w], c) for u, w, c in t.edges))
+    if circular_order(out) != CircularOrder.descending(t.k):
+        raise InvariantBroken("relabelled tree is not descending")
+    return out
+
+
+def rooted_to_tree(rooted: RootedTree) -> ColouredTree:
+    """Label the root k and sigma^i(root) with k-i."""
+    return _descending_relabel(rooted.tree, rooted.root)
 
 
 # -- trees <-> coloured angulations ---------------------------------------------------
@@ -180,7 +184,8 @@ def _embed(
             cur = w
     diagonals = []
     for e, pts in crossings.items():
-        assert len(pts) == 2
+        if len(pts) != 2:
+            raise InvariantBroken(f"contour crosses edge {sorted(e)} {len(pts)} times")
         d = norm(pts[0], pts[1])
         diagonals.append(d)
         u, v = tuple(e)
@@ -190,7 +195,8 @@ def _embed(
     ang = MAngulation(m, k, tuple(sorted(diagonals)))
     cang = ColouredAngulation(ang, tuple(colours.items()))
     face_of = {v: tuple(sorted(pts)) for v, pts in touch.items()}
-    assert set(face_of.values()) == set(ang.faces)
+    if set(face_of.values()) != set(ang.faces):
+        raise InvariantBroken("embedding faces disagree with the angulation")
     return cang, face_of
 
 
@@ -220,17 +226,7 @@ def labelled_tree_to_rooted_angulation(tree: ColouredTree) -> RootedAngulation:
 def rooted_angulation_to_tree(rang: RootedAngulation) -> ColouredTree:
     """Inverse: the root face is labelled k, and sigma^i(root) gets k-i."""
     t0, labels = labelled_dual(rang.base)
-    root_label = labels[tuple(rang.root)]
-    sigma = circular_order(t0)
-    k = t0.k
-    newlab = {}
-    v = root_label
-    for i in range(k):
-        newlab[v] = k - i
-        v = sigma(v)
-    tree = ColouredTree(k, t0.m, tuple((newlab[u], newlab[w], c) for u, w, c in t0.edges))
-    assert circular_order(tree) == CircularOrder.descending(k)
-    return tree
+    return _descending_relabel(t0, labels[tuple(rang.root)])
 
 
 def labelled_tree_to_labelled_angulation(tree: ColouredTree) -> LabelledAngulation:
@@ -552,7 +548,8 @@ def sigma_decompose(diagram: RnaDiagram) -> tuple[RnaDiagram, ...]:
         if arc is not None:
             v = arc[0][0] if arc[1][0] == v else arc[1][0]
         marks.append(v)
-    assert marks[-1] == k or k == 1, "walk must end at vertex k"
+    if marks[-1] != k and k != 1:
+        raise InvariantBroken("walk must end at vertex k")
 
     def pos(v: int, r: int) -> int:
         return (v - 1) * m + r
@@ -566,7 +563,8 @@ def sigma_decompose(diagram: RnaDiagram) -> tuple[RnaDiagram, ...]:
         for arc in diagram.arcs:
             p1, p2 = (pos(*arc[0]), pos(*arc[1]))
             if lo <= p1 <= hi:
-                assert lo <= p2 <= hi, "arc straddles a window boundary"
+                if not lo <= p2 <= hi:
+                    raise InvariantBroken("arc straddles a window boundary")
                 arcs.append(
                     (
                         (arc[0][0] - start + 1, arc[0][1]),

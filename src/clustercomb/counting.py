@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from .angulations import MAngulation
 from .core import CircularOrder, ColouredTree, circular_order
 from .diagrams import RnaDiagram, is_connected
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, VertexOutOfRange
 
 DEFAULT_MAX_WORK = 1_000_000
 
@@ -50,6 +50,8 @@ def _exact_div(num: int, den: int) -> int:
 
 def fuss_catalan(k: int, d: int) -> int:
     """The k-th Fuss-Catalan number of degree d: binom(dk, k)/((d-1)k+1)."""
+    if d < 1:
+        raise VertexOutOfRange(f"Fuss-Catalan numbers need degree d >= 1, got {d}")
     if k == 0:
         return 1
     return _exact_div(math.comb(d * k, k), (d - 1) * k + 1)
@@ -58,19 +60,29 @@ def fuss_catalan(k: int, d: int) -> int:
 def t_count(k: int, m: int) -> int:
     """Number of labelled m-edge-coloured trees on k vertices with circular
     order (k k-1 ... 1): m/((m-2)k+2) * binom((m-1)k, k-1)."""
+    if m < 1:
+        raise VertexOutOfRange(f"T_(k,m) needs m >= 1, got m = {m}")
     if k == 0:
         return 1
+    if m == 1:  # with one colour only k <= 2 has a tree
+        return int(k <= 2)
     return _exact_div(m * math.comb((m - 1) * k, k - 1), (m - 2) * k + 2)
 
 
 def s_count(k: int, m: int) -> int:
     """Number of m-angulations of a fixed ((m-2)k+2)-gon: C_k^{m-1}."""
+    if m < 2:
+        raise VertexOutOfRange(f"S_(k,m) needs m >= 2, got m = {m}")
     return fuss_catalan(k, m - 1)
 
 
 def u_count(k: int, m: int) -> int:
     """Total number of labelled m-edge-coloured trees on k vertices:
     m*((m-1)k)! / ((m-2)k+2)!."""
+    if k < 1 or m < 1:
+        raise VertexOutOfRange(f"U_(k,m) needs k >= 1 and m >= 1, got ({k},{m})")
+    if m == 1:  # with one colour only k <= 2 has a tree
+        return int(k <= 2)
     return _exact_div(m * math.factorial((m - 1) * k), math.factorial((m - 2) * k + 2))
 
 
@@ -141,8 +153,7 @@ def enumerate_trees(
     filtered by circular order.  Backtracks over candidate edges in the
     canonical (min endpoint, max endpoint, colour) order, keeping the partial
     edge set a properly coloured forest throughout."""
-    # u_count is Gessel's count for m >= 2; with one colour only k <= 2 has a tree
-    _guard("enumerate_trees", u_count(k, m) if m >= 2 and k >= 1 else int(k <= 2))
+    _guard("enumerate_trees", u_count(k, m))
     if order is not None and not isinstance(order, CircularOrder):
         order = CircularOrder(tuple(order))
     cands = [

@@ -14,6 +14,10 @@ class ValidationError(ClustercombError):
     """An input object violates one of its structural invariants."""
 
 
+class InvariantBroken(ClustercombError):
+    """An internal self-check failed (a package fault); survives python -O."""
+
+
 # -- coloured forests / trees ------------------------------------------------
 
 class CycleDetected(ValidationError):

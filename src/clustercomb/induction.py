@@ -23,6 +23,7 @@ from .counting import _guard, _work_limit, t_count
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
+    InvariantBroken,
     NotMaximalChain,
     SizeLimitExceeded,
     SymbolMismatch,
@@ -43,6 +44,8 @@ class InductionStep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InductionStep":
+        if not isinstance(d["chain"], list):
+            raise NotMaximalChain(f"chain {d['chain']!r} is not a list of vertices")
         return cls(d["kind"], d["i"], d["j"], tuple(d["chain"]))
 
 
@@ -54,7 +57,10 @@ def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
             raise SymbolMismatch(f"chain is for colours ({chain.i},{chain.j}), not ({i},{j})")
         want = chain.vertex_set
     else:
-        want = frozenset(chain)
+        try:
+            want = frozenset(chain)
+        except TypeError:
+            raise NotMaximalChain(f"chain {chain!r} is not a list of vertices") from None
     if not (1 <= i < j <= tree.m):
         raise VertexOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
     v = next(iter(want), None)
@@ -145,7 +151,8 @@ def decompose_Rij(
             steps.append(InductionStep("R", l, l + 1, sub.vertices))
             cur = apply_R(cur, sub, l, l + 1)
     direct = apply_R(tree, c, i, j)
-    assert cur == direct, "adjacent decomposition disagrees with R_{i,j}"
+    if cur != direct:
+        raise InvariantBroken("adjacent decomposition disagrees with R_{i,j}")
     return steps
 
 
@@ -160,9 +167,10 @@ def normal_form(tree: ColouredTree) -> tuple[ColouredTree, list[InductionStep]]:
     for l in range(2, m):
         cur, stage_steps = _eliminate_colour(cur, l)
         steps.extend(stage_steps)
-    assert all(c in (1, tree.m) for _, _, c in cur.edges) or tree.k == 1
-    replay = apply_steps(tree, steps)
-    assert replay == cur, "normal form steps do not replay"
+    if any(c not in (1, m) for _, _, c in cur.edges):
+        raise InvariantBroken("normal form keeps a colour other than S_1 and S_m")
+    if apply_steps(tree, steps) != cur:
+        raise InvariantBroken("normal form steps do not replay")
     return cur, steps
 
 
@@ -226,7 +234,7 @@ def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[Coloured
     is refused before any step when that exceeds `max_size` (default: the
     CLUSTERCOMB_MAX_WORK work limit)."""
     limit = max_size if max_size is not None else _work_limit()
-    _guard("orbit", t_count(tree.k, tree.m) if tree.m >= 2 else 1, limit)
+    _guard("orbit", t_count(tree.k, tree.m), limit)
     seen = {tree}
     frontier = [tree]
     while frontier:

@@ -1,7 +1,10 @@
 import itertools
+import random
+import re
 
 import pytest
 
+from clustercomb import angulations
 from clustercomb.angulations import (
     ColouredAngulation,
     LabelledAngulation,
@@ -21,12 +24,16 @@ from clustercomb.angulations import (
     shift,
     validate_angulation,
 )
-from clustercomb.bijections import labelled_angulation_to_tree
-from clustercomb.core import maximal_chains
-from clustercomb.counting import enumerate_angulations
+from clustercomb.bijections import (
+    labelled_angulation_to_tree,
+    labelled_tree_to_labelled_angulation,
+)
+from clustercomb.core import ColouredTree, maximal_chains
+from clustercomb.counting import enumerate_angulations, s_count
 from clustercomb.errors import (
     BadDiagonalModulus,
     DiagonalsCross,
+    InvariantBroken,
     NotADiagonal,
     NotASnake,
     WrongDiagonalCount,
@@ -328,3 +335,180 @@ def test_json_and_dot():
     assert LabelledAngulation.from_json(la.to_json()) == la
     dot = dual_tree_dot(ca)
     assert 'label="S1"' in dot
+
+
+# -- the linear kernel against the quadratic references it replaced -----------
+
+
+def _ref_split_faces(region, diags):
+    """Reference: cut the region at the first chord that is not a region
+    side, recursing on both halves."""
+    diags = list(diags)
+    out = []
+    stack = [tuple(region)]
+    while stack:
+        reg = stack.pop()
+        pos = {v: idx for idx, v in enumerate(reg)}
+        ln = len(reg)
+        cut = None
+        for a, b in diags:
+            pa, pb = pos.get(a), pos.get(b)
+            if pa is None or pb is None:
+                continue
+            pa, pb = min(pa, pb), max(pa, pb)
+            if pb - pa != 1 and not (pa == 0 and pb == ln - 1):
+                cut = (pa, pb)
+                break
+        if cut is None:
+            out.append(tuple(sorted(reg)))
+        else:
+            pa, pb = cut
+            stack.append(reg[pa : pb + 1])
+            stack.append(reg[pb:] + reg[: pa + 1])
+    return out
+
+
+def _ref_crossing(diags):
+    """Reference: the first crossing pair in sorted order, or None."""
+    diags = sorted(diags)
+    for i, (a, b) in enumerate(diags):
+        for c, d in diags[i + 1 :]:
+            if a < c < b < d or c < a < d < b:
+                return (a, b), (c, d)
+    return None
+
+
+def _ref_canonical_rotation(obj):
+    """Reference: build and validate all n rotations, keep the least to_json."""
+
+    def rot_coloured(cang, t):
+        n = cang.ang.n
+        colours = tuple(
+            (tuple(sorted(((a - 1 + t) % n + 1, (b - 1 + t) % n + 1))), c)
+            for (a, b), c in cang.colours
+        )
+        return ColouredAngulation(shift(cang.ang, t), colours)
+
+    def rot_face(f, t, n):
+        return tuple(sorted((v - 1 + t) % n + 1 for v in f))
+
+    if isinstance(obj, MAngulation):
+        cands = [shift(obj, t) for t in range(obj.n)]
+    elif isinstance(obj, ColouredAngulation):
+        cands = [rot_coloured(obj, t) for t in range(obj.ang.n)]
+    elif isinstance(obj, RootedAngulation):
+        n = obj.base.ang.n
+        cands = [
+            RootedAngulation(rot_coloured(obj.base, t), rot_face(obj.root, t, n))
+            for t in range(n)
+        ]
+    else:
+        n = obj.base.ang.n
+        cands = [
+            LabelledAngulation(
+                rot_coloured(obj.base, t),
+                tuple((rot_face(f, t, n), l) for f, l in obj.labels),
+            )
+            for t in range(n)
+        ]
+    return min(cands, key=lambda x: x.to_json())
+
+
+def _random_tree(rng, k, m):
+    used = [set() for _ in range(k + 1)]
+    edges = []
+    for v in range(2, k + 1):
+        while True:
+            u = rng.randrange(1, v)
+            free = [c for c in range(1, m + 1) if c not in used[u]]
+            if free:
+                break
+        c = rng.choice(free)
+        used[u].add(c)
+        used[v].add(c)
+        edges.append((u, v, c))
+    perm = list(range(1, k + 1))
+    rng.shuffle(perm)
+    return ColouredTree(k, m, tuple((perm[u - 1], perm[v - 1], c) for u, v, c in edges))
+
+
+def _kernel_cases():
+    """Every angulation at (5,3), (4,4), (3,5) with a random colouring, root
+    and labelling, and labelled angulations of seeded trees at k = 30..60."""
+    rng = random.Random(3031)
+    for k, m in ((5, 3), (4, 4), (3, 5)):
+        for ang in enumerate_angulations(k, m):
+            cang = colour_from_seed(ang, (1, 2), rng.randrange(1, m + 1))
+            labels = list(range(1, k + 1))
+            rng.shuffle(labels)
+            yield LabelledAngulation(cang, tuple(zip(ang.faces, labels)))
+    for k, m in ((30, 3), (40, 4), (45, 5), (60, 3)):
+        yield labelled_tree_to_labelled_angulation(_random_tree(rng, k, m))
+
+
+def test_split_faces_matches_reference():
+    rng = random.Random(77)
+    for lang in _kernel_cases():
+        ang = lang.base.ang
+        region = tuple(range(1, ang.n + 1))
+        assert set(angulations._split_faces(region, ang.diagonals)) == set(
+            _ref_split_faces(region, ang.diagonals)
+        )
+        # a sub-region cut off by a diagonal, given as a wrapped cycle, with
+        # chords that leave it and chords along its sides mixed in
+        for a, b in ang.diagonals[:3]:
+            sub = tuple(range(b, ang.n + 1)) + tuple(range(1, a + 1))
+            diags = list(ang.diagonals)
+            rng.shuffle(diags)
+            assert set(angulations._split_faces(sub, diags)) == set(
+                _ref_split_faces(sub, diags)
+            )
+
+
+def test_canonical_rotation_matches_reference():
+    rng = random.Random(78)
+    for lang in _kernel_cases():
+        cang = lang.base
+        n = cang.ang.n
+        t = rng.randrange(n)
+        rooted = RootedAngulation(cang, rng.choice(cang.ang.faces))
+        for obj in (shift(cang.ang, t), cang, rooted, lang):
+            assert canonical_rotation(obj) == _ref_canonical_rotation(obj)
+
+
+def test_crossing_check_matches_reference():
+    # nested, disjoint and fans sharing an endpoint: no error
+    MAngulation(3, 6, ((1, 7), (2, 7), (2, 6), (3, 6), (3, 5)))
+    MAngulation(3, 6, ((1, 3), (3, 5), (5, 7), (1, 5), (1, 7)))
+    MAngulation(3, 6, ((1, 3), (1, 4), (1, 5), (1, 6), (1, 7)))
+    MAngulation(3, 6, ((2, 8), (3, 8), (4, 8), (5, 8), (6, 8)))
+    # a single crossing pair among many diagonals
+    diags = ((1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (6, 8), (8, 10))
+    with pytest.raises(DiagonalsCross, match=r"\[1,7\] crosses \[6,8\]"):
+        MAngulation(3, 8, diags)
+    # every triangulation of the 10-gon with one diagonal swapped for another
+    # pair: a flip (no crossing) or one to several crossings
+    rng = random.Random(79)
+    pairs = [(a, b) for a in range(1, 11) for b in range(a + 2, 11) if b - a < 9]
+    crossed = 0
+    for tri in enumerate_angulations(8, 3):
+        diags = list(tri.diagonals)
+        diags[rng.randrange(7)] = rng.choice([p for p in pairs if p not in diags])
+        ref = _ref_crossing(diags)
+        try:
+            MAngulation(3, 8, tuple(diags))
+        except DiagonalsCross as exc:
+            assert ref is not None
+            named = re.findall(r"\[(\d+),(\d+)\]", str(exc))
+            (a, b), (c, d) = [tuple(map(int, x)) for x in named]
+            assert a < c < b < d and {(a, b), (c, d)} <= set(diags)
+            crossed += 1
+        else:
+            assert ref is None
+    assert 0 < crossed < s_count(8, 3)
+
+
+def test_rotation_drift_raises_invariant_broken(monkeypatch):
+    monkeypatch.setattr(angulations, "_rotate_region", lambda *args: None)
+    with pytest.raises(InvariantBroken):
+        rotate_one_step(MAngulation(3, 3, ((1, 3), (1, 4))))

@@ -99,6 +99,25 @@ def test_induct(capsys, monkeypatch):
     assert json.loads(out)["edges"] == [[1, 3, 2], [2, 3, 1]]
 
 
+def test_induct_non_list_chain(capsys, monkeypatch):
+    tree = '{"k":3,"m":3,"edges":[[1,2,1],[2,3,2]]}'
+    steps = '[{"kind":"R","i":1,"j":2,"chain":5}]'
+    code, out, err = run(capsys, ["induct", steps], stdin=tree, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert "not a list of vertices" in err
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-1"])
+@pytest.mark.parametrize("family", ["T", "S", "U", "fuss"])
+def test_count_few_colours(capsys, family, m):
+    # an uncaught exception would fail the test before the exit code is seen
+    code, out, err = run(capsys, ["count", family, "--kmax", "4", "--m", m])
+    assert code in (0, 3)
+    one_colour = {("T", "1"): "1 1 1 0 0", ("U", "1"): "1 1 0 0"}
+    if (family, m) in one_colour:
+        assert out.split() == one_colour[family, m].split()
+
+
 def test_orbit(capsys, monkeypatch):
     tree = '{"k":3,"m":3,"edges":[[1,2,1],[2,3,2]]}'
     code, out, _ = run(capsys, ["orbit"], stdin=tree, monkeypatch=monkeypatch)

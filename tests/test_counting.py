@@ -16,7 +16,7 @@ from clustercomb.counting import (
     t_count,
     u_count,
 )
-from clustercomb.errors import SizeLimitExceeded
+from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange
 from clustercomb.tables import S_TABLE, T_TABLE, U_TABLE
 
 
@@ -153,3 +153,21 @@ def test_work_guard(monkeypatch):
     monkeypatch.delenv("CLUSTERCOMB_MAX_WORK")
     with pytest.raises(SizeLimitExceeded):
         list(enumerate_trees(12, 6))
+
+
+def test_one_colour_counts():
+    # with one colour only k <= 2 has a tree, and it has order (k ... 1)
+    for k in range(1, 6):
+        trees = list(enumerate_trees(k, 1))
+        assert u_count(k, 1) == len(trees) == int(k <= 2)
+        desc = CircularOrder.descending(k)
+        assert t_count(k, 1) == sum(1 for t in trees if circular_order(t) == desc)
+    with pytest.raises(VertexOutOfRange):
+        s_count(3, 1)
+
+
+def test_zero_vertices_refused():
+    with pytest.raises(VertexOutOfRange):
+        list(enumerate_trees(0, 2))
+    with pytest.raises(VertexOutOfRange):
+        u_count(0, 3)

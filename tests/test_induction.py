@@ -78,6 +78,8 @@ def test_apply_R_rejects_bad_chain():
         ((1, 2, 3), 2, 4, VertexOutOfRange),
         ((2, 3), 1, 2, NotMaximalChain),  # 1 is attached by S_1
         (Chain(1, 3, (1, 2)), 1, 2, SymbolMismatch),
+        (5, 1, 2, NotMaximalChain),  # not a vertex list at all
+        ([[1, 2]], 1, 2, NotMaximalChain),
     ],
 )
 def test_bad_chain_error_classes(chain, i, j, error):
