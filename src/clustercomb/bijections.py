@@ -44,6 +44,7 @@ from .errors import (
     ConditionBViolated,
     InvariantBroken,
     NotInFamily,
+    VertexOutOfRange,
     WrongCircularOrder,
 )
 
@@ -104,6 +105,8 @@ class RootedTree:
 
     @classmethod
     def from_tree(cls, tree: ColouredTree, root: int) -> "RootedTree":
+        if not (isinstance(root, int) and 1 <= root <= tree.k):
+            raise VertexOutOfRange(f"root {root!r} is not a vertex of 1..{tree.k}")
         return cls(canonical_rooted(tree, root))
 
     @property

@@ -26,7 +26,7 @@ from .angulations import (
 )
 from .core import CircularOrder, ColouredForest, ColouredTree, tree_to_dot
 from .diagrams import RnaDiagram
-from .errors import ClustercombError, ValidationError
+from .errors import ClustercombError, MalformedJSON, ValidationError
 from .induction import InductionStep, apply_steps, orbit
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
@@ -93,11 +93,13 @@ def _cmd_enumerate(args) -> int:
 
 def _load_object(text: str):
     d = json.loads(text)
-    if "edges" in d and "root" in d:
-        bare = json.dumps({k: v for k, v in d.items() if k != "root"})
-        return bij.RootedTree.from_tree(ColouredTree.from_json(bare), d["root"])
+    if not isinstance(d, dict):
+        raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
     if "edges" in d:
-        return ColouredTree.from_json(text) if len(d["edges"]) == d["k"] - 1 else ColouredForest.from_json(text)
+        forest = ColouredForest.from_json(text)
+        if "root" in d:
+            return bij.RootedTree.from_tree(ColouredTree(forest.k, forest.m, forest.edges), d["root"])
+        return ColouredTree(forest.k, forest.m, forest.edges) if forest.is_tree else forest
     if "arcs" in d:
         return RnaDiagram.from_json(text)
     if "plane" in d:

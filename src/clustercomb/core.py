@@ -20,11 +20,16 @@ from .errors import (
     CycleDetected,
     DuplicateColourAtVertex,
     DuplicateEdge,
+    MalformedJSON,
     NotConnected,
     VertexOutOfRange,
 )
 
 Edge = tuple[int, int, int]  # (u, v, colour) with u < v
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _normalise_edges(raw_edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
@@ -131,8 +136,21 @@ class ColouredForest:
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredForest":
+        """Parse {"k": int, "m": int, "edges": [[u, v, colour], ...]} and
+        validate it as `cls`; a document of another shape raises
+        MalformedJSON."""
         d = json.loads(text)
-        return cls(d["k"], d["m"], tuple(tuple(e) for e in d["edges"]))
+        if not isinstance(d, dict):
+            raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
+        for key in ("k", "m"):
+            if not _is_int(d.get(key)):
+                raise MalformedJSON(f'"{key}" must be an integer, got {d.get(key)!r}')
+        edges = d.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in edges
+        ):
+            raise MalformedJSON('"edges" must be a list of [u, v, colour] integer triples')
+        return cls(d["k"], d["m"], tuple(tuple(e) for e in edges))
 
 
 @dataclass(frozen=True)
@@ -145,11 +163,6 @@ class ColouredTree(ColouredForest):
             raise NotConnected(
                 f"tree on {self.k} vertices needs {self.k - 1} edges, got {len(self.edges)}"
             )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ColouredTree":
-        d = json.loads(text)
-        return cls(d["k"], d["m"], tuple(tuple(e) for e in d["edges"]))
 
 
 def validate_forest(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredForest:

@@ -18,6 +18,10 @@ class InvariantBroken(ClustercombError):
     """An internal self-check failed (a package fault); survives python -O."""
 
 
+class MalformedJSON(ValidationError):
+    """A JSON document does not have the shape of the object it should encode."""
+
+
 # -- coloured forests / trees ------------------------------------------------
 
 class CycleDetected(ValidationError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Chain, ColouredTree, _chain_path, circular_order, maximal_chains
+from .core import Chain, ColouredTree, Edge, _chain_path, circular_order, maximal_chains
 from .counting import _guard, _work_limit, t_count
 from .errors import (
     DimensionMismatch,
@@ -71,22 +71,37 @@ def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
     raise NotMaximalChain(f"{sorted(want)} is not a maximal S_{i}-S_{j} chain")
 
 
-def _apply(tree: ColouredTree, chain, i: int, j: int, swap_colour: int) -> ColouredTree:
-    c = _resolve_chain(tree, chain, i, j)
-    path = c.vertices
-    if len(path) == 1:
-        return tree
-    chain_edges = [(a, b, tree.colour_of(a, b)) for a, b in zip(path, path[1:])]
-    # simultaneous label swap across every chain edge of the swapped colour
+def _successor_edges(
+    tree: ColouredTree, path: tuple[int, ...], i: int, j: int, swap_colour: int
+) -> tuple[Edge, ...]:
+    """The sorted edge tuple of R_{i,j} (swap_colour = j) or L_{i,j}
+    (swap_colour = i) on the maximal S_i-S_j chain `path` of `tree`.  Only
+    the chain edges change; each one's colour is read from the adjacency of
+    its first vertex.  The labels are swapped simultaneously across the
+    chain edges of the swapped colour, which are disjoint because a vertex
+    has one edge of each colour.  By maximality, the S_i and S_j edges at
+    the chain's vertices are exactly its edges."""
+    adj = tree.adjacency
     lab = {v: v for v in path}
-    for a, b, col in chain_edges:
+    cols = []
+    for a, b in zip(path, path[1:]):
+        col = i if adj[a].get(i) == b else j
+        cols.append(col)
         if col == swap_colour:
             lab[a], lab[b] = b, a
-    other = {i: j, j: i}
-    new_chain = [(lab[a], lab[b], other[col]) for a, b, col in chain_edges]
-    on_chain = {(min(a, b), max(a, b)) for a, b, _ in chain_edges}
-    keep = [e for e in tree.edges if e[:2] not in on_chain]
-    return ColouredTree(tree.k, tree.m, tuple(keep) + tuple(new_chain))
+    new = [e for e in tree.edges if e[0] not in lab or (e[2] != i and e[2] != j)]
+    for a, b, col in zip(path, path[1:], cols):
+        x, y = lab[a], lab[b]
+        new.append((x, y, i + j - col) if x < y else (y, x, i + j - col))
+    new.sort()
+    return tuple(new)
+
+
+def _apply(tree: ColouredTree, chain, i: int, j: int, swap_colour: int) -> ColouredTree:
+    path = _resolve_chain(tree, chain, i, j).vertices
+    if len(path) == 1:
+        return tree
+    return ColouredTree(tree.k, tree.m, _successor_edges(tree, path, i, j, swap_colour))
 
 
 def apply_R(tree: ColouredTree, chain, i: int, j: int | None = None) -> ColouredTree:
@@ -177,15 +192,17 @@ def normal_form(tree: ColouredTree) -> tuple[ColouredTree, list[InductionStep]]:
 def _eliminate_colour(tree: ColouredTree, l: int) -> tuple[ColouredTree, list[InductionStep]]:
     """BFS over R_{1,l} and L_{l,l+1} moves until no edge is coloured S_l.
     The input must have no colours S_2..S_{l-1}; the moves never reintroduce
-    them, and a result is guaranteed to exist."""
+    them, and a result is guaranteed to exist.  Successors are compared on
+    their edge tuples, and only a tree not reached before is built."""
 
     def done(t: ColouredTree) -> bool:
         return all(c != l for _, _, c in t.edges)
 
     if done(tree):
         return tree, []
+    k, m = tree.k, tree.m
     frontier = [tree]
-    parents: dict[ColouredTree, tuple[ColouredTree, str, Chain] | None] = {tree: None}
+    parents: dict[tuple[Edge, ...], tuple[ColouredTree, str, Chain] | None] = {tree.edges: None}
     while frontier:
         nxt = []
         for t in frontier:
@@ -197,15 +214,18 @@ def _eliminate_colour(tree: ColouredTree, l: int) -> tuple[ColouredTree, list[In
                 if len(c.vertices) > 1:
                     moves.append(("Lll1", c))
             for kind, c in moves:
-                t2 = apply_R(t, c, 1, l) if kind == "R1l" else apply_L(t, c, l, l + 1)
-                if t2 in parents:
+                # R_{1,l} and L_{l,l+1} both swap labels across the S_l edges
+                i, j = (1, l) if kind == "R1l" else (l, l + 1)
+                edges = _successor_edges(t, c.vertices, i, j, swap_colour=l)
+                if edges in parents:
                     continue
-                parents[t2] = (t, kind, c)
+                parents[edges] = (t, kind, c)
+                t2 = ColouredTree(k, m, edges)
                 if done(t2):
-                    return t2, _unwind(t2, parents, l)
+                    return t2, _unwind(edges, parents, l)
                 nxt.append(t2)
         frontier = nxt
-    raise AssertionError(f"no S_{l}-free tree reachable; this should be impossible")
+    raise InvariantBroken(f"no S_{l}-free tree reachable; this should be impossible")
 
 
 def _unwind(target, parents, l):
@@ -214,7 +234,7 @@ def _unwind(target, parents, l):
     while parents[node] is not None:
         prev, kind, c = parents[node]
         rev.append((prev, kind, c))
-        node = prev
+        node = prev.edges
     rev.reverse()
     steps: list[InductionStep] = []
     for prev, kind, c in rev:
@@ -230,28 +250,33 @@ def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[Coloured
     R_i over all nontrivial maximal chains.  L_i adds nothing: on the finite
     set X_c of trees in which c is a nontrivial maximal S_i-S_{i+1} chain,
     R_i on c is a permutation (L_i inverts it), so L_i = R_i^{p-1} and the
-    forward R-closure is the whole class.  The class has T_{k,m} members and
-    is refused before any step when that exceeds `max_size` (default: the
-    CLUSTERCOMB_MAX_WORK work limit)."""
+    forward R-closure is the whole class.  A successor is rejected on its
+    edge tuple before construction, so each member is built and validated
+    once.  The class has T_{k,m} members and is refused before any step
+    when that exceeds `max_size` (default: the CLUSTERCOMB_MAX_WORK work
+    limit)."""
     limit = max_size if max_size is not None else _work_limit()
     _guard("orbit", t_count(tree.k, tree.m), limit)
-    seen = {tree}
+    k, m = tree.k, tree.m
+    seen = {tree.edges}
+    members = [tree]
     frontier = [tree]
     while frontier:
         nxt = []
         for t in frontier:
-            for i in range(1, t.m):
+            for i in range(1, m):
                 for c in maximal_chains(t, i, i + 1):
                     if len(c.vertices) == 1:
                         continue
-                    t2 = apply_R(t, c, i)
-                    if t2 not in seen:
-                        seen.add(t2)
+                    edges = _successor_edges(t, c.vertices, i, i + 1, swap_colour=i + 1)
+                    if edges not in seen:
+                        seen.add(edges)
                         if len(seen) > limit:
                             raise SizeLimitExceeded(f"orbit exceeded {limit} trees")
-                        nxt.append(t2)
+                        nxt.append(ColouredTree(k, m, edges))
+        members.extend(nxt)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(members)
 
 
 def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:
@@ -305,5 +330,5 @@ def chain_order(tree: ColouredTree, i: int, j: int) -> int:
         cur = apply_R(cur, whole, i, j)
         p += 1
         if p > 4 * tree.k + 4:
-            raise AssertionError("R_{i,j} order exceeded 4k; broken involution")
+            raise InvariantBroken("R_{i,j} order exceeded 4k; broken involution")
     return p

@@ -35,10 +35,6 @@ from .tables import S_TABLE, T_TABLE, U_TABLE
 Check = tuple[str, bool, str]
 
 
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
 def formulas(kmax: int = 30, mmax: int = 8) -> list[Check]:
     out: list[Check] = []
     ok = all(
@@ -63,7 +59,8 @@ def formulas(kmax: int = 30, mmax: int = 8) -> list[Check]:
         ok &= cnt.check_gkp_identity(n, r, s, t)
     out.append(("binomial convolution identity", ok, "1000 sampled tuples"))
     ok = all(
-        cnt.t_count(k, 3) == catalan(k + 1) - catalan(k) for k in range(1, kmax + 1)
+        cnt.t_count(k, 3) == cnt.fuss_catalan(k + 1, 2) - cnt.fuss_catalan(k, 2)
+        for k in range(1, kmax + 1)
     )
     out.append(("T at m=3 is a Catalan difference", ok, f"k<={kmax}"))
     ok = all(
@@ -223,19 +220,21 @@ def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
 
 
 def run_suite(name: str, k: int | None = None, m: int | None = None) -> list[Check]:
+    """Run a named suite; k and m left as None take the suite's own default."""
+    given = {key: v for key, v in (("k", k), ("m", m)) if v is not None}
     if name == "formulas":
         return formulas()
     if name == "bijections":
-        return bijection_suite(k or 3, m or 3)
+        return bijection_suite(**given)
     if name == "induction":
-        return induction_suite(k or 4, m or 3)
+        return induction_suite(**given)
     if name == "angulation":
-        return angulation_suite(k or 3, m or 3)
+        return angulation_suite(**given)
     if name == "all":
         return (
             formulas()
-            + bijection_suite(k or 3, m or 3)
-            + induction_suite(k or 4, m or 3)
-            + angulation_suite(k or 3, m or 3)
+            + bijection_suite(**given)
+            + induction_suite(**given)
+            + angulation_suite(**given)
         )
     raise ValueError(f"unknown suite {name!r}")

@@ -107,6 +107,34 @@ def test_induct_non_list_chain(capsys, monkeypatch):
     assert "not a list of vertices" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k":"a","m":3,"edges":[]}',
+        '{"m":3,"edges":[]}',
+        '{"k":3,"m":3,"edges":[[1,2]]}',
+        "[1,2]",
+        '{"k":3,"m":3,"edges":5}',
+        "5",
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["orbit"], ["induct", "[]"], ["map", "tree->rooted"], ["export"]]
+)
+def test_malformed_tree_json(capsys, monkeypatch, argv, text):
+    # an uncaught exception would fail the test before the exit code is seen
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["map", "tree->rooted"], ["export"]])
+def test_rooted_tree_root_out_of_range(capsys, monkeypatch, argv):
+    text = '{"k":2,"m":3,"edges":[[1,2,1]],"root":5}'
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 3 and out == "" and "root 5" in err
+
+
 @pytest.mark.parametrize("m", ["1", "0", "-1"])
 @pytest.mark.parametrize("family", ["T", "S", "U", "fuss"])
 def test_count_few_colours(capsys, family, m):

@@ -4,6 +4,8 @@ from clustercomb import induction
 from clustercomb.core import (
     Chain,
     CircularOrder,
+    ColouredForest,
+    ColouredTree,
     canonical_unlabelled,
     circular_order,
     maximal_chains,
@@ -13,6 +15,7 @@ from clustercomb.counting import enumerate_trees, t_count
 from clustercomb.errors import (
     DimensionMismatch,
     HypothesisViolated,
+    InvariantBroken,
     NotMaximalChain,
     SizeLimitExceeded,
     SymbolMismatch,
@@ -31,6 +34,40 @@ from clustercomb.induction import (
     orbit,
     sigma_invariance_witness,
 )
+
+
+def _apply_reference(tree, chain, i, j, swap_colour):
+    """Reference R/L: chain colours from colour_of, chain edges found by
+    pair membership, the result normalised by the validating constructor."""
+    path = induction._resolve_chain(tree, chain, i, j).vertices
+    if len(path) == 1:
+        return tree
+    chain_edges = [(a, b, tree.colour_of(a, b)) for a, b in zip(path, path[1:])]
+    lab = {v: v for v in path}
+    for a, b, col in chain_edges:
+        if col == swap_colour:
+            lab[a], lab[b] = b, a
+    other = {i: j, j: i}
+    new_chain = [(lab[a], lab[b], other[col]) for a, b, col in chain_edges]
+    on_chain = {(min(a, b), max(a, b)) for a, b, _ in chain_edges}
+    keep = [e for e in tree.edges if e[:2] not in on_chain]
+    return ColouredTree(tree.k, tree.m, tuple(keep) + tuple(new_chain))
+
+
+@pytest.mark.parametrize("k,m", [(4, 3), (4, 4), (5, 3)])
+def test_successor_kernel_matches_reference(k, m):
+    steps = 0
+    for t in enumerate_trees(k, m):
+        for i in range(1, m):
+            for j in range(i + 1, m + 1):
+                for c in maximal_chains(t, i, j):
+                    if len(c.vertices) == 1:
+                        continue
+                    for swap in (j, i):  # R, then L
+                        got = induction._successor_edges(t, c.vertices, i, j, swap)
+                        assert got == _apply_reference(t, c, i, j, swap).edges
+                        steps += 1
+    assert steps > 0
 
 
 def test_apply_R_edgeless_chain_is_identity():
@@ -163,7 +200,7 @@ def test_orbit_sizes():
 
 
 def test_orbit_equals_sigma_class():
-    for k, m in ((3, 3), (3, 4), (4, 3), (4, 4)):
+    for k, m in ((3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (3, 5)):
         trees = list(enumerate_trees(k, m))
         by_sigma = {}
         for t in trees:
@@ -174,10 +211,26 @@ def test_orbit_equals_sigma_class():
             assert len(orb) == t_count(k, m)
 
 
+@pytest.mark.parametrize("k,m", [(1, 3), (4, 4), (5, 3), (3, 5)])
+def test_orbit_validates_each_new_tree_once(monkeypatch, k, m):
+    tree = next(enumerate_trees(k, m))
+    validate = ColouredForest.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.edges)
+        validate(self)
+
+    monkeypatch.setattr(ColouredForest, "__post_init__", counting)
+    orb = orbit(tree)
+    assert len(orb) == t_count(k, m)
+    assert len(calls) == t_count(k, m) - 1
+
+
 def test_orbit_refused_before_any_step(monkeypatch):
     t = next(enumerate_trees(6, 3, CircularOrder.descending(6)))
     calls = []
-    monkeypatch.setattr(induction, "apply_R", lambda *a: calls.append(a))
+    monkeypatch.setattr(induction, "_successor_edges", lambda *a, **kw: calls.append(a))
     monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "100")
     with pytest.raises(SizeLimitExceeded):
         orbit(t)  # T_{6,3} = 297 > 100
@@ -237,6 +290,22 @@ def test_chain_order():
                 [(v, v + 1, i if v % 2 else j) for v in range(1, k)], k, 4
             )
             assert chain_order(line, i, j) == k
+
+
+def test_normal_form_unreachable_raises_invariant_broken(monkeypatch):
+    # a kernel that never moves leaves no S_2-free tree reachable
+    t = validate_tree([(1, 2, 1), (2, 3, 2)], 3, 3)
+    monkeypatch.setattr(induction, "_successor_edges", lambda tree, *a, **kw: tree.edges)
+    with pytest.raises(InvariantBroken):
+        normal_form(t)
+
+
+def test_chain_order_runaway_raises_invariant_broken(monkeypatch):
+    t3 = validate_tree([(1, 2, 1), (2, 3, 3)], 3, 3)
+    other = validate_tree([(1, 3, 1), (2, 3, 3)], 3, 3)
+    monkeypatch.setattr(induction, "apply_R", lambda *a: other)
+    with pytest.raises(InvariantBroken):
+        chain_order(t3, 1, 3)
 
 
 def test_normal_form_spot_k5():
