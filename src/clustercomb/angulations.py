@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import ColouredTree
+from .core import ColouredTree, _int_tuples, _is_int, _json_object
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
     InvariantBroken,
+    MalformedJSON,
     NotADiagonal,
     NotASnake,
     SymbolOutOfRange,
@@ -168,8 +169,7 @@ class MAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "MAngulation":
-        d = json.loads(text)
-        return cls(d["m"], d["k"], tuple(tuple(x) for x in d["diagonals"]))
+        return _load(text)[1]
 
 
 def validate_angulation(raw: dict) -> MAngulation:
@@ -197,8 +197,27 @@ def _face_key(f: Face) -> str:
     return "-".join(str(v) for v in f)
 
 
-def _parse_key(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split("-"))
+def _load(text: str) -> tuple[dict, MAngulation]:
+    """Parse the fields every angulation JSON format shares; a document of
+    another shape raises MalformedJSON."""
+    d = _json_object(text, "m", "k")
+    return d, MAngulation(d["m"], d["k"], _int_tuples(d, "diagonals", 2, "[a, b]"))
+
+
+def _parse_key(s, field: str) -> tuple[int, ...]:
+    parts = s.split("-") if isinstance(s, str) else []
+    if not parts or not all(p.isascii() and p.isdigit() for p in parts):
+        raise MalformedJSON(f'"{field}" has {s!r} where "a-b-..." is expected')
+    return tuple(int(p) for p in parts)
+
+
+def _keyed(d: dict, field: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The entries of the JSON object d[field], which maps "a-b-..." keys to
+    integers, with the keys parsed."""
+    items = d.get(field)
+    if not isinstance(items, dict) or not all(map(_is_int, items.values())):
+        raise MalformedJSON(f'"{field}" must map "a-b-..." keys to integers')
+    return tuple((_parse_key(key, field), v) for key, v in items.items())
 
 
 @dataclass(frozen=True)
@@ -243,10 +262,8 @@ class ColouredAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredAngulation":
-        d = json.loads(text)
-        ang = MAngulation(d["m"], d["k"], tuple(tuple(x) for x in d["diagonals"]))
-        colours = tuple((_parse_key(e), c) for e, c in d["colours"].items())
-        return cls(ang, colours)
+        d, ang = _load(text)
+        return cls(ang, _keyed(d, "colours"))
 
 
 @dataclass(frozen=True)
@@ -264,9 +281,9 @@ class RootedAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "RootedAngulation":
-        d = json.loads(text)
-        base = ColouredAngulation.from_json(text)
-        return cls(base, _parse_key(d["root"]))
+        d, ang = _load(text)
+        base = ColouredAngulation(ang, _keyed(d, "colours"))
+        return cls(base, _parse_key(d.get("root"), "root"))
 
 
 @dataclass(frozen=True)
@@ -293,10 +310,8 @@ class LabelledAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelledAngulation":
-        d = json.loads(text)
-        base = ColouredAngulation.from_json(text)
-        labels = tuple((_parse_key(f), l) for f, l in d["labels"].items())
-        return cls(base, labels)
+        d, ang = _load(text)
+        return cls(ColouredAngulation(ang, _keyed(d, "colours")), _keyed(d, "labels"))
 
 
 # -- colouring -------------------------------------------------------------------
@@ -340,47 +355,77 @@ def all_colourings(ang: MAngulation) -> list[ColouredAngulation]:
 
 # -- rotation machinery ------------------------------------------------------------
 
-def _primitive_rotate(n: int, diags: set[Diagonal], d: Diagonal) -> Diagonal:
+class _Dissection:
+    """A mutable set of noncrossing diagonals of the n-gon with, per vertex,
+    the set of its diagonal neighbours, so that the face beside a diagonal is
+    read by walking neighbours instead of splitting the polygon."""
+
+    def __init__(self, n: int, diagonals: Iterable[Diagonal]):
+        self.n = n
+        self.diags = set(diagonals)
+        self.nbr: list[set[int]] = [set() for _ in range(n + 1)]
+        for a, b in self.diags:
+            self.nbr[a].add(b)
+            self.nbr[b].add(a)
+
+    def add(self, d: Diagonal) -> None:
+        self.diags.add(d)
+        self.nbr[d[0]].add(d[1])
+        self.nbr[d[1]].add(d[0])
+
+    def remove(self, d: Diagonal) -> None:
+        self.diags.remove(d)
+        self.nbr[d[0]].discard(d[1])
+        self.nbr[d[1]].discard(d[0])
+
+    def face_side(self, a: int, b: int) -> list[int]:
+        """The face beside diagonal [a,b] on the clockwise arc from a to b, as
+        its vertices in clockwise order from a to b: from each vertex the
+        walk takes its farthest neighbour (diagonal or polygon side) still on
+        the arc, never [a,b] itself; O(m * degree)."""
+        n = self.n
+        span = (b - a) % n
+        walk = [a]
+        v, off = a, 0
+        while v != b:
+            nxt, far = v % n + 1, off + 1
+            for w in self.nbr[v]:
+                o = (w - a) % n
+                if far < o < span or (o == span and v != a):
+                    nxt, far = w, o
+            walk.append(nxt)
+            v, off = nxt, far
+        return walk
+
+
+def _primitive_rotate(dis: _Dissection, d: Diagonal) -> Diagonal:
     """Rotate diagonal d one step anticlockwise inside the (2m-2)-gon obtained
-    by removing it, mutating diags; returns the new diagonal."""
+    by removing it, mutating dis; returns the new diagonal."""
     d = _norm_edge(*d)
-    if d not in diags:
+    if d not in dis.diags:
         raise NotADiagonal(f"{d} is not a diagonal of the dissection")
     a, b = d
-    # the two faces on either side of d are the faces holding both its ends
-    f1, f2 = (f for f in _split_faces(tuple(range(1, n + 1)), diags) if a in f and b in f)
-    merged = sorted(set(f1) | set(f2))
-    pos = {v: idx for idx, v in enumerate(merged)}
-    ln = len(merged)
-    new_d = _norm_edge(merged[(pos[a] - 1) % ln], merged[(pos[b] - 1) % ln])
-    diags.remove(d)
-    diags.add(new_d)
+    # clockwise, the merged (2m-2)-gon reads the face on the arc a..b, then
+    # the face on the arc b..a; each end of d moves to its predecessor there
+    new_d = _norm_edge(dis.face_side(b, a)[-2], dis.face_side(a, b)[-2])
+    dis.remove(d)
+    dis.add(new_d)
     return new_d
 
 
 def diagonal_rotate(ang: MAngulation, diag: Sequence[int]) -> MAngulation:
     """One anticlockwise rotation of a single diagonal (a mutation step)."""
-    diags = set(ang.diagonals)
-    _primitive_rotate(ang.n, diags, _norm_edge(int(diag[0]), int(diag[1])))
-    return MAngulation(ang.m, ang.k, tuple(sorted(diags)))
-
-
-def _contiguous_run(region: tuple[int, ...], face: Face) -> list[int]:
-    """Order the face's vertices along the region cycle; the face must occupy
-    contiguous region positions except across its single internal edge."""
-    pos = {v: idx for idx, v in enumerate(region)}
-    ln = len(region)
-    posset = {pos[v] for v in face}
-    start = next(p for p in posset if (p - 1) % ln not in posset)
-    return [region[(start + t) % ln] for t in range(len(face))]
+    dis = _Dissection(ang.n, ang.diagonals)
+    _primitive_rotate(dis, _norm_edge(int(diag[0]), int(diag[1])))
+    return MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
 
 
 def _rotate_region(
-    n: int, m: int, diags: set[Diagonal], region: tuple[int, ...], seq: list[Diagonal]
+    dis: _Dissection, m: int, region: tuple[int, ...], seq: list[Diagonal]
 ) -> None:
     """Rotate the dissection induced on a region one vertex step anticlockwise
     (in the region's own cycle), realized as primitive diagonal rotations
-    appended to seq.
+    appended to seq.  The region is a union of faces of the dissection.
 
     Recursive scheme: pick a face F with a single internal edge, rotate the
     fan of diagonals at F's clockwise-first corner (farthest first), rotate
@@ -389,24 +434,30 @@ def _rotate_region(
     pos = {v: idx for idx, v in enumerate(region)}
     ln = len(region)
 
-    def adjacent(a: int, b: int) -> bool:
-        d = abs(pos[a] - pos[b])
-        return d == 1 or d == ln - 1
+    def internal_now() -> dict[Diagonal, tuple[int, int]]:
+        """The region's internal diagonals, with the positions of their ends."""
+        out = {}
+        for d in dis.diags:
+            pa, pb = pos.get(d[0]), pos.get(d[1])
+            if pa is not None and pb is not None and 1 < abs(pa - pb) < ln - 1:
+                out[d] = (pa, pb)
+        return out
 
-    def reg_pred(v: int) -> int:
-        return region[(pos[v] - 1) % ln]
-
-    internal = [d for d in diags if d[0] in pos and d[1] in pos and not adjacent(*d)]
+    internal = internal_now()
     if not internal:
         return
-    expected = {_norm_edge(reg_pred(a), reg_pred(b)) for a, b in internal}
-    faces = _split_faces(region, internal)
-    intset = set(internal)
-    boundary_faces = [
-        f for f in faces if sum(1 for e in _face_edge_cycle(f) if e in intset) == 1
+    expected = {_norm_edge(region[pa - 1], region[pb - 1]) for pa, pb in internal.values()}
+    # the region's faces are m-gons, so a face with a single internal edge
+    # is a run of m consecutive region vertices closed by that edge
+    runs = [
+        [region[(p + t) % ln] for t in range(m)]
+        for pa, pb in internal.values()
+        for p, q in ((pa, pb), (pb, pa))
+        if (q - p) % ln == m - 1
     ]
-    F = min(boundary_faces)
-    run = _contiguous_run(region, F)
+    if not runs:
+        raise InvariantBroken(f"no face of {region} has a single internal edge")
+    run = min(runs, key=sorted)
     i = run[0]
     e = _norm_edge(run[0], run[-1])
 
@@ -417,9 +468,9 @@ def _rotate_region(
     fan = [d for d in internal if i in d]
     moved: dict[Diagonal, Diagonal] = {}
     for d in sorted(fan, key=lambda d: -cdist(d, i)):
-        moved[d] = _primitive_rotate(n, diags, d)
+        moved[d] = _primitive_rotate(dis, d)
         seq.append(d)
-    i_prev = reg_pred(i)
+    i_prev = region[pos[i] - 1]
     back = [moved[d] for d in fan if d != e]
     # clockwise rotation of the remaining fan: nearest first, m-2 primitive
     # anticlockwise steps per diagonal
@@ -427,12 +478,11 @@ def _rotate_region(
         cur = d
         for _ in range(m - 2):
             seq.append(cur)
-            cur = _primitive_rotate(n, diags, cur)
+            cur = _primitive_rotate(dis, cur)
     removed = set(run[: m - 2])
     sub = tuple(v for v in region if v not in removed)
-    _rotate_region(n, m, diags, sub, seq)
-    got = {d for d in diags if d[0] in pos and d[1] in pos and not adjacent(*d)}
-    if got != expected:
+    _rotate_region(dis, m, sub, seq)
+    if internal_now().keys() != expected:
         raise InvariantBroken(f"region rotation drifted on {region}")
 
 
@@ -454,10 +504,10 @@ def rotate_one_step(ang: MAngulation) -> tuple[MAngulation, tuple[Diagonal, ...]
     """The angulation rotated one vertex step anticlockwise (every diagonal
     [i,j] becomes [i-1,j-1] mod n), together with the sequence of primitive
     diagonal rotations realizing it."""
-    diags = set(ang.diagonals)
+    dis = _Dissection(ang.n, ang.diagonals)
     seq: list[Diagonal] = []
-    _rotate_region(ang.n, ang.m, diags, tuple(range(1, ang.n + 1)), seq)
-    result = MAngulation(ang.m, ang.k, tuple(sorted(diags)))
+    _rotate_region(dis, ang.m, tuple(range(1, ang.n + 1)), seq)
+    result = MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
     expected = shift(ang, -1)
     if result != expected:
         raise InvariantBroken(f"rotation realization drifted: {result} != {expected}")
@@ -483,26 +533,49 @@ def _rotate_face(f: Face, t: int, n: int) -> Face:
 def canonical_rotation(obj):
     """The representative minimizing the JSON encoding over all n rotations,
     the first rotation on ties; accepts any of the four angulation types.
-    The rotations are ranked by the encoding of their rotated fields, and only
-    the winner is built, through the validating constructors."""
+
+    Every encoding starts with the same m and k and then the text of the
+    rotated, sorted diagonal list, so that text ranks the rotations first.
+    Each list has k-1 entries [a,b], and "]]" appears only where the list
+    closes, so no list text is a proper prefix of another: two different
+    texts differ at some character, and that character decides the whole
+    encoding.  A rotation that puts no diagonal end on vertex 1 has a text
+    starting "[[a," with a >= 2, which is greater than "[[1,": at the first
+    digit or, for a = 10..19, 100.., at the "," after the "1", which
+    precedes every digit; so only rotations putting a diagonal end on
+    vertex 1 are ranked.  Colours, root and labels are encoded only for the
+    rotations that tie on the least diagonal text, the rotational
+    symmetries of the diagonal set.  Only the winner is built, through the
+    validating constructors."""
     if not isinstance(obj, (MAngulation, ColouredAngulation, RootedAngulation, LabelledAngulation)):
         raise TypeError(f"cannot canonicalize {type(obj)}")
     cang = obj if isinstance(obj, ColouredAngulation) else getattr(obj, "base", None)
     ang = obj if cang is None else cang.ang
     root, labels, n = getattr(obj, "root", None), getattr(obj, "labels", None), ang.n
 
-    def rotated(t: int) -> tuple:
-        def edge(e: Diagonal) -> Diagonal:
-            return _norm_edge(_shift_vertex(e[0], t, n), _shift_vertex(e[1], t, n))
+    def edge(e: Diagonal, t: int) -> Diagonal:
+        a, b = (e[0] + t - 1) % n + 1, (e[1] + t - 1) % n + 1
+        return (a, b) if a < b else (b, a)
 
+    def rotated(t: int) -> tuple:
         return (
-            sorted(edge(d) for d in ang.diagonals),
-            None if cang is None else sorted((edge(e), c) for e, c in cang.colours),
+            sorted(edge(d, t) for d in ang.diagonals),
+            None if cang is None else sorted((edge(e, t), c) for e, c in cang.colours),
             None if root is None else _rotate_face(root, t, n),
             None if labels is None else sorted((_rotate_face(f, t, n), l) for f, l in labels),
         )
 
-    best = min(range(n), key=lambda t: _encode(ang.m, ang.k, *rotated(t)))
+    ends = {v for d in ang.diagonals for v in d}
+    cands = sorted({(1 - v) % n for v in ends}) if ends else range(n)
+    texts = {
+        t: json.dumps(sorted(edge(d, t) for d in ang.diagonals), separators=(",", ":"))
+        for t in cands
+    }
+    least = min(texts.values())
+    best = min(
+        (t for t in cands if texts[t] == least),
+        key=lambda t: _encode(ang.m, ang.k, *rotated(t)),
+    )
     diagonals, colours, root, labels = rotated(best)
     out = MAngulation(ang.m, ang.k, tuple(diagonals))
     if colours is not None:
@@ -615,7 +688,7 @@ def _induct_core(
 
     diags_between = [shared_diag(faces[t], faces[t + 1]) for t in range(l - 1)]
     cols = [cang.colour[d] for d in diags_between]
-    work = set(cang.ang.diagonals)
+    work = _Dissection(n, cang.ang.diagonals)
 
     # Step 1: rotate every S_{i+1}-coloured snake diagonal one step
     # anticlockwise; the two adjacent faces travel with the rotation.
@@ -625,7 +698,7 @@ def _induct_core(
             continue
         f1, f2 = faces[t], faces[t + 1]
         merged = sorted(set(f1) | set(f2))
-        new_d = _primitive_rotate(n, work, d)
+        new_d = _primitive_rotate(work, d)
         snake_diag_final[t] = new_d
         face_map[f1] = _face_after_rotation(f1, merged)
         face_map[f2] = _face_after_rotation(f2, merged)
@@ -644,7 +717,7 @@ def _induct_core(
         slot_edges = [cyc[(a_idx + r) % m] for r in range(1, m)]
         occupants: list[tuple[int, int, int] | None] = []
         for edge in slot_edges:
-            if edge in work:
+            if edge in work.diags:
                 start, end = _component_region(n, edge, M)
                 occupants.append((start, end, (end - start) % n))
             else:
@@ -666,10 +739,10 @@ def _induct_core(
                     v = v % n + 1
                     arc.append(v)
                 region = tuple(sorted(set(arc) | set(cur_face)))
-                whole = _split_faces(tuple(range(1, n + 1)), work)
+                whole = _split_faces(tuple(range(1, n + 1)), work.diags)
                 comp_faces = [f for f in whole if set(f) <= set(arc)]
                 seq: list[Diagonal] = []
-                _rotate_region(n, m, work, region, seq)
+                _rotate_region(work, m, region, seq)
                 pos = {v: idx for idx, v in enumerate(region)}
                 ln = len(region)
 
@@ -698,7 +771,7 @@ def _induct_core(
                 delta = (cursor - start) % n
                 new_end = (cursor - 1 + ln_arc) % n + 1
                 drop.add(_norm_edge(start, end))
-                for d in work:
+                for d in work.diags:
                     if d == _norm_edge(start, end):
                         continue
                     if _in_arc(d[0], start, end, n) and _in_arc(d[1], start, end, n):
@@ -723,10 +796,12 @@ def _induct_core(
                         )
                         break
             face_map[M] = tuple(sorted(set(new_m_verts)))
-            work -= drop
-            work |= add
+            for d in drop:
+                work.remove(d)
+            for d in add:
+                work.add(d)
 
-    new_ang = MAngulation(m, cang.k, tuple(sorted(work)))
+    new_ang = MAngulation(m, cang.k, tuple(sorted(work.diags)))
     seed = snake_diag_final[0]
     seed_colour = i if cols[0] == j else j
     result = colour_from_seed(new_ang, seed, seed_colour)

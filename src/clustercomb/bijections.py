@@ -34,6 +34,7 @@ from .core import (
     ColouredForest,
     ColouredTree,
     UnlabelledTree,
+    _json_object,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -43,9 +44,11 @@ from .errors import (
     ConditionAViolated,
     ConditionBViolated,
     InvariantBroken,
+    MalformedJSON,
     NotInFamily,
     VertexOutOfRange,
     WrongCircularOrder,
+    WrongObjectType,
 )
 
 # -- diagrams <-> forests -----------------------------------------------------------
@@ -276,13 +279,19 @@ class PlaneTree:
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneTree":
-        import json
-
-        d = json.loads(text)
+        """Parse {"m": int, "plane": node}, where a node is null (a leaf) or
+        the list of its children; another shape raises MalformedJSON."""
+        d = _json_object(text, "m")
 
         def conv(node):
-            return None if node is None else tuple(conv(ch) for ch in node)
+            if node is None:
+                return None
+            if not isinstance(node, list):
+                raise MalformedJSON('"plane" must be null or a list of child nodes')
+            return tuple(conv(ch) for ch in node)
 
+        if "plane" not in d:
+            raise MalformedJSON('"plane" is missing')
         return cls(d["m"], conv(d["plane"]))
 
 
@@ -451,6 +460,14 @@ def family6_to_5(x: PlaneTree) -> RootedTree:
 
 
 _FAMILY_EDGES = {1: (2,), 2: (1, 3), 3: (2, 4, 5), 4: (3,), 5: (3, 6), 6: (5,)}
+_FAMILY_TYPES = {
+    1: RnaDiagram,
+    2: ColouredTree,
+    3: RootedTree,
+    4: MAngulation,
+    5: RootedTree,
+    6: PlaneTree,
+}
 _FAMILY_MAPS = {
     (1, 2): family1_to_2,
     (2, 1): family2_to_1,
@@ -470,6 +487,11 @@ def family_chain(x, from_item: int, to_item: int):
     1 - 2 - 3 - 4 with 3 - 5 - 6."""
     if from_item not in _FAMILY_EDGES or to_item not in _FAMILY_EDGES:
         raise NotInFamily(from_item, "family index must be in 1..6")
+    if not isinstance(x, _FAMILY_TYPES[from_item]):
+        raise WrongObjectType(
+            f"family ({from_item}) holds {_FAMILY_TYPES[from_item].__name__}s, "
+            f"got a {type(x).__name__}"
+        )
     # BFS route in the small family graph
     prev = {from_item: None}
     queue = [from_item]

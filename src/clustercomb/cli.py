@@ -26,7 +26,7 @@ from .angulations import (
 )
 from .core import CircularOrder, ColouredForest, ColouredTree, tree_to_dot
 from .diagrams import RnaDiagram
-from .errors import ClustercombError, MalformedJSON, ValidationError
+from .errors import ClustercombError, MalformedJSON, ValidationError, WrongObjectType
 from .induction import InductionStep, apply_steps, orbit
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
@@ -127,17 +127,18 @@ def _dump_object(obj) -> str:
     return obj.to_json()
 
 
+# each named map: the type of object it takes, and the map
 _MAPS = {
-    "diagram->forest": lambda x: bij.diagram_to_forest(x),
-    "forest->diagram": lambda x: bij.forest_to_diagram(x),
-    "tree->rooted": lambda x: bij.tree_to_rooted(x),
-    "rooted->tree": lambda x: bij.rooted_to_tree(x),
-    "tree->angulation": lambda x: bij.tree_to_angulation(x),
-    "angulation->tree": lambda x: bij.angulation_to_tree(x).tree,
-    "tree->rooted-angulation": lambda x: bij.labelled_tree_to_rooted_angulation(x),
-    "rooted-angulation->tree": lambda x: bij.rooted_angulation_to_tree(x),
-    "tree->labelled-angulation": lambda x: bij.labelled_tree_to_labelled_angulation(x),
-    "labelled-angulation->tree": lambda x: bij.labelled_angulation_to_tree(x),
+    "diagram->forest": (RnaDiagram, bij.diagram_to_forest),
+    "forest->diagram": (ColouredForest, bij.forest_to_diagram),
+    "tree->rooted": (ColouredTree, bij.tree_to_rooted),
+    "rooted->tree": (bij.RootedTree, bij.rooted_to_tree),
+    "tree->angulation": (ColouredTree, bij.tree_to_angulation),
+    "angulation->tree": (ColouredAngulation, lambda x: bij.angulation_to_tree(x).tree),
+    "tree->rooted-angulation": (ColouredTree, bij.labelled_tree_to_rooted_angulation),
+    "rooted-angulation->tree": (RootedAngulation, bij.rooted_angulation_to_tree),
+    "tree->labelled-angulation": (ColouredTree, bij.labelled_tree_to_labelled_angulation),
+    "labelled-angulation->tree": (LabelledAngulation, bij.labelled_angulation_to_tree),
 }
 
 
@@ -146,10 +147,18 @@ def _cmd_map(args) -> int:
     obj = _load_object(text)
     if args.name.startswith("families:"):
         route = args.name.split(":", 1)[1]
-        frm, to = route.split("->")
-        out = bij.family_chain(obj, int(frm), int(to))
+        try:
+            frm, to = (int(x) for x in route.split("->"))
+        except ValueError:
+            raise ValidationError(f"bad family route {route!r}; expected families:A->B") from None
+        out = bij.family_chain(obj, frm, to)
     elif args.name in _MAPS:
-        out = _MAPS[args.name](obj)
+        takes, fn = _MAPS[args.name]
+        if not isinstance(obj, takes):
+            raise WrongObjectType(
+                f"map {args.name} takes a {takes.__name__}, got a {type(obj).__name__}"
+            )
+        out = fn(obj)
     else:
         raise ValidationError(f"unknown map {args.name!r}; known: "
                               + ", ".join(sorted(_MAPS)) + ", families:A->B")

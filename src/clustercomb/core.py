@@ -32,6 +32,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_object(text: str, *int_keys: str) -> dict:
+    """Parse a JSON object whose `int_keys` hold integers; a document of
+    another shape raises MalformedJSON."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
+    for key in int_keys:
+        if not _is_int(d.get(key)):
+            raise MalformedJSON(f'"{key}" must be an integer, got {d.get(key)!r}')
+    return d
+
+
+def _int_tuples(d: dict, key: str, width: int, form: str) -> tuple[tuple[int, ...], ...]:
+    """d[key] as a tuple of integer tuples, when it is a list of `width`-long
+    integer lists; otherwise MalformedJSON naming the expected `form`."""
+    items = d.get(key)
+    if not isinstance(items, list) or not all(
+        isinstance(x, list) and len(x) == width and all(map(_is_int, x)) for x in items
+    ):
+        raise MalformedJSON(f'"{key}" must be a list of {form} integer lists')
+    return tuple(tuple(x) for x in items)
+
+
 def _normalise_edges(raw_edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     out = []
     for e in raw_edges:
@@ -139,18 +162,8 @@ class ColouredForest:
         """Parse {"k": int, "m": int, "edges": [[u, v, colour], ...]} and
         validate it as `cls`; a document of another shape raises
         MalformedJSON."""
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
-        for key in ("k", "m"):
-            if not _is_int(d.get(key)):
-                raise MalformedJSON(f'"{key}" must be an integer, got {d.get(key)!r}')
-        edges = d.get("edges")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in edges
-        ):
-            raise MalformedJSON('"edges" must be a list of [u, v, colour] integer triples')
-        return cls(d["k"], d["m"], tuple(tuple(e) for e in edges))
+        d = _json_object(text, "k", "m")
+        return cls(d["k"], d["m"], _int_tuples(d, "edges", 3, "[u, v, colour]"))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import SelfArc, ShiftCollision, SlotReused, UnequalBases, VertexOutOfRange
+from .core import _is_int, _json_object
+from .errors import (
+    MalformedJSON,
+    SelfArc,
+    ShiftCollision,
+    SlotReused,
+    UnequalBases,
+    VertexOutOfRange,
+)
 
 Slot = tuple[int, int]  # (vertex, base)
 Arc = tuple[Slot, Slot]
@@ -77,8 +85,19 @@ class RnaDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "RnaDiagram":
-        d = json.loads(text)
-        return cls(d["k"], d["m"], tuple((tuple(a), tuple(b)) for a, b in d["arcs"]))
+        d = _json_object(text, "k", "m")
+        arcs = d.get("arcs")
+
+        def is_slot(x) -> bool:
+            return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
+
+        if not isinstance(arcs, list) or not all(
+            isinstance(a, list) and len(a) == 2 and all(map(is_slot, a)) for a in arcs
+        ):
+            raise MalformedJSON(
+                '"arcs" must be a list of [[vertex, base], [vertex, base]] integer pairs'
+            )
+        return cls(d["k"], d["m"], tuple((tuple(a), tuple(b)) for a, b in arcs))
 
 
 def validate_diagram(raw: dict) -> RnaDiagram:

@@ -22,6 +22,10 @@ class MalformedJSON(ValidationError):
     """A JSON document does not have the shape of the object it should encode."""
 
 
+class WrongObjectType(ValidationError):
+    """An operation was given a valid object of a type it does not take."""
+
+
 # -- coloured forests / trees ------------------------------------------------
 
 class CycleDetected(ValidationError):

@@ -30,6 +30,7 @@ from .core import (
     maximal_chains,
 )
 from .diagrams import is_connected, is_noncrossing
+from .errors import VertexOutOfRange
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
 Check = tuple[str, bool, str]
@@ -220,7 +221,11 @@ def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
 
 
 def run_suite(name: str, k: int | None = None, m: int | None = None) -> list[Check]:
-    """Run a named suite; k and m left as None take the suite's own default."""
+    """Run a named suite; k and m left as None take the suite's own default.
+    A k below 1 would make every range empty and every check pass vacuously,
+    so it is refused."""
+    if k is not None and k < 1:
+        raise VertexOutOfRange(f"verify needs k >= 1, got k = {k}")
     given = {key: v for key, v in (("k", k), ("m", m)) if v is not None}
     if name == "formulas":
         return formulas()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -378,16 +379,24 @@ def _ref_crossing(diags):
     return None
 
 
+@functools.lru_cache(maxsize=8)
+def _ref_coloured_rotations(cang):
+    """The n rotations of a coloured angulation, each built and validated."""
+    n = cang.ang.n
+    return tuple(
+        ColouredAngulation(
+            shift(cang.ang, t),
+            tuple(
+                (tuple(sorted(((a - 1 + t) % n + 1, (b - 1 + t) % n + 1))), c)
+                for (a, b), c in cang.colours
+            ),
+        )
+        for t in range(n)
+    )
+
+
 def _ref_canonical_rotation(obj):
     """Reference: build and validate all n rotations, keep the least to_json."""
-
-    def rot_coloured(cang, t):
-        n = cang.ang.n
-        colours = tuple(
-            (tuple(sorted(((a - 1 + t) % n + 1, (b - 1 + t) % n + 1))), c)
-            for (a, b), c in cang.colours
-        )
-        return ColouredAngulation(shift(cang.ang, t), colours)
 
     def rot_face(f, t, n):
         return tuple(sorted((v - 1 + t) % n + 1 for v in f))
@@ -395,21 +404,18 @@ def _ref_canonical_rotation(obj):
     if isinstance(obj, MAngulation):
         cands = [shift(obj, t) for t in range(obj.n)]
     elif isinstance(obj, ColouredAngulation):
-        cands = [rot_coloured(obj, t) for t in range(obj.ang.n)]
+        cands = _ref_coloured_rotations(obj)
     elif isinstance(obj, RootedAngulation):
         n = obj.base.ang.n
         cands = [
-            RootedAngulation(rot_coloured(obj.base, t), rot_face(obj.root, t, n))
-            for t in range(n)
+            RootedAngulation(rot, rot_face(obj.root, t, n))
+            for t, rot in enumerate(_ref_coloured_rotations(obj.base))
         ]
     else:
         n = obj.base.ang.n
         cands = [
-            LabelledAngulation(
-                rot_coloured(obj.base, t),
-                tuple((rot_face(f, t, n), l) for f, l in obj.labels),
-            )
-            for t in range(n)
+            LabelledAngulation(rot, tuple((rot_face(f, t, n), l) for f, l in obj.labels))
+            for t, rot in enumerate(_ref_coloured_rotations(obj.base))
         ]
     return min(cands, key=lambda x: x.to_json())
 
@@ -465,6 +471,23 @@ def test_split_faces_matches_reference():
             )
 
 
+def _symmetric_cases():
+    """Every angulation at (4,3), (6,3) and (4,4), and the diagonal-free
+    square, with every colouring and every root face, and with every
+    labelling at k = 4.  The rotational symmetries of a diagonal set tie on
+    the diagonal text, so there only the colours, the root or the labels
+    break the tie."""
+    for k, m in ((1, 4), (4, 3), (6, 3), (4, 4)):
+        for ang in enumerate_angulations(k, m):
+            yield ang
+            for cang in all_colourings(ang):
+                yield cang
+                yield from (RootedAngulation(cang, f) for f in ang.faces)
+                if k == 4:
+                    for perm in itertools.permutations(range(1, k + 1)):
+                        yield LabelledAngulation(cang, tuple(zip(ang.faces, perm)))
+
+
 def test_canonical_rotation_matches_reference():
     rng = random.Random(78)
     for lang in _kernel_cases():
@@ -474,6 +497,12 @@ def test_canonical_rotation_matches_reference():
         rooted = RootedAngulation(cang, rng.choice(cang.ang.faces))
         for obj in (shift(cang.ang, t), cang, rooted, lang):
             assert canonical_rotation(obj) == _ref_canonical_rotation(obj)
+    symmetric = 0
+    for obj in _symmetric_cases():
+        assert canonical_rotation(obj) == _ref_canonical_rotation(obj)
+        if isinstance(obj, MAngulation):
+            symmetric += any(shift(obj, t) == obj for t in range(1, obj.n))
+    assert symmetric >= 10
 
 
 def test_crossing_check_matches_reference():
@@ -512,3 +541,116 @@ def test_rotation_drift_raises_invariant_broken(monkeypatch):
     monkeypatch.setattr(angulations, "_rotate_region", lambda *args: None)
     with pytest.raises(InvariantBroken):
         rotate_one_step(MAngulation(3, 3, ((1, 3), (1, 4))))
+
+
+# -- rotation against the split-based primitive it replaced ---------------------
+
+
+def _ref_primitive_rotate(n, diags, d):
+    """Reference: split the whole polygon, take the two faces holding both
+    ends of d and move each end to its predecessor in their union."""
+    d = tuple(sorted(d))
+    if d not in diags:
+        raise NotADiagonal(f"{d} is not a diagonal of the dissection")
+    a, b = d
+    f1, f2 = (
+        f for f in angulations._split_faces(tuple(range(1, n + 1)), diags) if a in f and b in f
+    )
+    merged = sorted(set(f1) | set(f2))
+    pos = {v: idx for idx, v in enumerate(merged)}
+    ln = len(merged)
+    new_d = tuple(sorted((merged[(pos[a] - 1) % ln], merged[(pos[b] - 1) % ln])))
+    diags.remove(d)
+    diags.add(new_d)
+    return new_d
+
+
+def _ref_rotate_region(n, m, diags, region, seq):
+    """Reference: split the region at every level to find its boundary faces."""
+    pos = {v: idx for idx, v in enumerate(region)}
+    ln = len(region)
+
+    def adjacent(a, b):
+        return abs(pos[a] - pos[b]) in (1, ln - 1)
+
+    def reg_pred(v):
+        return region[(pos[v] - 1) % ln]
+
+    internal = [d for d in diags if d[0] in pos and d[1] in pos and not adjacent(*d)]
+    if not internal:
+        return
+    faces = angulations._split_faces(region, internal)
+    intset = set(internal)
+    F = min(
+        f for f in faces
+        if sum(1 for e in angulations._face_edge_cycle(f) if e in intset) == 1
+    )
+    posset = {pos[v] for v in F}
+    start = next(p for p in posset if (p - 1) % ln not in posset)
+    run = [region[(start + t) % ln] for t in range(len(F))]
+    i = run[0]
+    e = tuple(sorted((run[0], run[-1])))
+
+    def cdist(d, centre):
+        other = d[1] if d[0] == centre else d[0]
+        return (pos[other] - pos[centre]) % ln
+
+    fan = [d for d in internal if i in d]
+    moved = {}
+    for d in sorted(fan, key=lambda d: -cdist(d, i)):
+        moved[d] = _ref_primitive_rotate(n, diags, d)
+        seq.append(d)
+    i_prev = reg_pred(i)
+    for d in sorted((moved[d] for d in fan if d != e), key=lambda d: cdist(d, i_prev)):
+        cur = d
+        for _ in range(m - 2):
+            seq.append(cur)
+            cur = _ref_primitive_rotate(n, diags, cur)
+    removed = set(run[: m - 2])
+    _ref_rotate_region(n, m, diags, tuple(v for v in region if v not in removed), seq)
+
+
+def _ref_rotate_one_step(ang):
+    diags = set(ang.diagonals)
+    seq = []
+    _ref_rotate_region(ang.n, ang.m, diags, tuple(range(1, ang.n + 1)), seq)
+    return MAngulation(ang.m, ang.k, tuple(sorted(diags))), tuple(seq)
+
+
+def _rotation_cases():
+    """Every angulation at (5,3), (4,4) and (3,5), and angulations of seeded
+    trees at k = 30..60."""
+    for k, m in ((5, 3), (4, 4), (3, 5)):
+        yield from enumerate_angulations(k, m)
+    rng = random.Random(3032)
+    for k, m in ((30, 3), (40, 4), (45, 5), (50, 3), (60, 4)):
+        yield labelled_tree_to_labelled_angulation(_random_tree(rng, k, m)).base.ang
+
+
+def test_rotate_one_step_matches_split_reference():
+    for ang in _rotation_cases():
+        assert rotate_one_step(ang) == _ref_rotate_one_step(ang)
+        for d in ang.diagonals:
+            diags = set(ang.diagonals)
+            _ref_primitive_rotate(ang.n, diags, d)
+            assert diagonal_rotate(ang, d).diagonals == tuple(sorted(diags))
+
+
+def test_primitive_rotation_does_not_split_the_polygon(monkeypatch):
+    cases = list(itertools.islice(_rotation_cases(), 0, None, 7))
+    calls = []
+    split = angulations._split_faces
+    monkeypatch.setattr(
+        angulations, "_split_faces", lambda *args: calls.append(1) or split(*args)
+    )
+    for ang in cases:
+        dis = angulations._Dissection(ang.n, ang.diagonals)
+        for d in ang.diagonals:
+            angulations._primitive_rotate(dis, d)
+        seq = []
+        angulations._rotate_region(dis, ang.m, tuple(range(1, ang.n + 1)), seq)
+        assert calls == []
+        # rotate_one_step splits only to validate its result and the shift
+        rotate_one_step(ang)
+        assert len(calls) == 2
+        calls.clear()

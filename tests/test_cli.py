@@ -271,3 +271,85 @@ def test_shell_pipeline_end_to_end():
         input=mapped.stdout, capture_output=True, text=True, check=True,
     )
     assert json.loads(back.stdout) == json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k":"a","m":3,"arcs":[]}',
+        '{"k":3,"m":3,"arcs":5}',
+        '{"k":3,"m":3,"arcs":[[[1,1],[2]]]}',
+        '{"m":3,"k":2,"diagonals":5}',
+        '{"m":"3","k":2,"diagonals":[[1,3]]}',
+        '{"m":3,"k":2,"diagonals":[[1,3,4]]}',
+        '{"m":3,"k":2,"diagonals":[[1,3]],"colours":[1]}',
+        '{"m":3,"k":2,"diagonals":[[1,3]],"colours":{"1-x":2}}',
+        '{"m":3,"k":2,"diagonals":[[1,3]],"colours":{"1-3":"S1"}}',
+        '{"m":3,"k":2,"diagonals":[[1,3]],'
+        '"colours":{"1-2":2,"1-3":1,"1-4":3,"2-3":3,"3-4":2},"root":5}',
+        '{"m":3,"k":2,"diagonals":[[1,3]],'
+        '"colours":{"1-2":2,"1-3":1,"1-4":3,"2-3":3,"3-4":2},"labels":{"1-2-3":"a"}}',
+        '{"m":3,"plane":[5]}',
+        '{"m":"3","plane":null}',
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [["map", "diagram->forest"], ["map", "families:4->3"], ["export", "--format", "dot"]]
+)
+def test_malformed_diagram_angulation_plane_json(capsys, monkeypatch, argv, text):
+    # an uncaught exception would fail the test before the exit code is seen
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
+ROOTED = '{"k":2,"m":3,"edges":[[1,2,1]],"root":2}'
+TREE = '{"k":2,"m":3,"edges":[[1,2,1]]}'
+DIAGRAM = '{"k":3,"m":3,"arcs":[]}'
+ROOTED_ANGULATION = (
+    '{"m":3,"k":2,"diagonals":[[1,3]],'
+    '"colours":{"1-2":2,"1-3":1,"1-4":3,"2-3":3,"3-4":2},"root":"1-2-3"}'
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("tree->rooted", ROOTED, "takes a ColouredTree, got a RootedTree"),
+        ("tree->angulation", DIAGRAM, "takes a ColouredTree, got a RnaDiagram"),
+        ("forest->diagram", DIAGRAM, "takes a ColouredForest, got a RnaDiagram"),
+        ("diagram->forest", TREE, "takes a RnaDiagram, got a ColouredTree"),
+        ("rooted->tree", TREE, "takes a RootedTree, got a ColouredTree"),
+        (
+            "angulation->tree",
+            ROOTED_ANGULATION,
+            "takes a ColouredAngulation, got a RootedAngulation",
+        ),
+        ("labelled-angulation->tree", ROOTED_ANGULATION, "got a RootedAngulation"),
+        ("families:1->2", TREE, "family (1) holds RnaDiagrams, got a ColouredTree"),
+        ("families:6->5", TREE, "family (6) holds PlaneTrees, got a ColouredTree"),
+        ("families:a->2", TREE, "bad family route"),
+        ("families:12", TREE, "bad family route"),
+    ],
+)
+def test_map_refuses_wrong_input_type(capsys, monkeypatch, name, text, named):
+    code, out, err = run(capsys, ["map", name], stdin=text, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and named in err
+
+
+@pytest.mark.parametrize("suite", ["formulas", "bijections", "induction", "angulation", "all"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_verify_refuses_nonpositive_k(capsys, suite, k):
+    code, out, err = run(capsys, ["verify", suite, "--k", k])
+    assert code == 3 and out == ""
+    assert "k >= 1" in err
+
+
+def test_run_suite_refuses_nonpositive_k():
+    from clustercomb import verify as ver
+    from clustercomb.errors import VertexOutOfRange
+
+    with pytest.raises(VertexOutOfRange):
+        ver.run_suite("induction", k=0)
+    assert ver.run_suite("induction", k=1)
