@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import ColouredTree, _int_tuples, _is_int, _json_object
+from .core import ColouredTree, _checked_object, _int_tuples, _is_int
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
@@ -169,11 +169,15 @@ class MAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "MAngulation":
-        return _load(text)[1]
+        return validate_angulation(json.loads(text))
 
 
 def validate_angulation(raw: dict) -> MAngulation:
-    return MAngulation(raw["m"], raw["k"], tuple(tuple(d) for d in raw["diagonals"]))
+    """Validate the fields every angulation format shares, {"m": int,
+    "k": int, "diagonals": [[a, b], ...]}, into an MAngulation; a value of
+    another shape raises MalformedJSON."""
+    d = _checked_object(raw, "m", "k")
+    return MAngulation(d["m"], d["k"], _int_tuples(d, "diagonals", 2, "[a, b]"))
 
 
 def _encode(m: int, k: int, diagonals, colours=None, root=None, labels=None) -> str:
@@ -195,13 +199,6 @@ def _edge_key(e: Diagonal) -> str:
 
 def _face_key(f: Face) -> str:
     return "-".join(str(v) for v in f)
-
-
-def _load(text: str) -> tuple[dict, MAngulation]:
-    """Parse the fields every angulation JSON format shares; a document of
-    another shape raises MalformedJSON."""
-    d = _json_object(text, "m", "k")
-    return d, MAngulation(d["m"], d["k"], _int_tuples(d, "diagonals", 2, "[a, b]"))
 
 
 def _parse_key(s, field: str) -> tuple[int, ...]:
@@ -262,8 +259,8 @@ class ColouredAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredAngulation":
-        d, ang = _load(text)
-        return cls(ang, _keyed(d, "colours"))
+        d = json.loads(text)
+        return cls(validate_angulation(d), _keyed(d, "colours"))
 
 
 @dataclass(frozen=True)
@@ -281,8 +278,8 @@ class RootedAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "RootedAngulation":
-        d, ang = _load(text)
-        base = ColouredAngulation(ang, _keyed(d, "colours"))
+        d = json.loads(text)
+        base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
         return cls(base, _parse_key(d.get("root"), "root"))
 
 
@@ -310,8 +307,9 @@ class LabelledAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelledAngulation":
-        d, ang = _load(text)
-        return cls(ColouredAngulation(ang, _keyed(d, "colours")), _keyed(d, "labels"))
+        d = json.loads(text)
+        base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
+        return cls(base, _keyed(d, "labels"))
 
 
 # -- colouring -------------------------------------------------------------------

@@ -16,6 +16,7 @@ The central constructions:
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .core import (
     ColouredForest,
     ColouredTree,
     UnlabelledTree,
-    _json_object,
+    _checked_object,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -129,10 +130,15 @@ class RootedTree:
         return dict(self.tree.adjacency[1])
 
 
+def _is_descending(tree: ColouredTree) -> bool:
+    """True iff the tree's circular order is (k k-1 ... 1)."""
+    return circular_order(tree) == CircularOrder.descending(tree.k)
+
+
 def tree_to_rooted(tree: ColouredTree) -> RootedTree:
     """Forget the labels of a tree with circular order (k k-1 ... 1) but
     remember vertex k as the root."""
-    if circular_order(tree) != CircularOrder.descending(tree.k):
+    if not _is_descending(tree):
         raise WrongCircularOrder("tree's circular order is not (k k-1 ... 1)")
     return RootedTree.from_tree(tree, tree.k)
 
@@ -146,7 +152,7 @@ def _descending_relabel(t: ColouredTree, root: int) -> ColouredTree:
         label[v] = t.k - i
         v = sigma(v)
     out = ColouredTree(t.k, t.m, tuple((label[u], label[w], c) for u, w, c in t.edges))
-    if circular_order(out) != CircularOrder.descending(t.k):
+    if not _is_descending(out):
         raise InvariantBroken("relabelled tree is not descending")
     return out
 
@@ -223,7 +229,7 @@ def angulation_to_tree(cang: ColouredAngulation) -> UnlabelledTree:
 def labelled_tree_to_rooted_angulation(tree: ColouredTree) -> RootedAngulation:
     """A labelled tree with circular order (k k-1 ... 1) maps to its coloured
     angulation rooted at the face of the vertex labelled k."""
-    if circular_order(tree) != CircularOrder.descending(tree.k):
+    if not _is_descending(tree):
         raise WrongCircularOrder("tree's circular order is not (k k-1 ... 1)")
     cang, face_of = _embed(tree, 1, 1)
     return canonical_rotation(RootedAngulation(cang, face_of[tree.k]))
@@ -270,8 +276,6 @@ class PlaneTree:
         return count(self.root)
 
     def to_json(self) -> str:
-        import json
-
         def conv(node):
             return None if node is None else [conv(ch) for ch in node]
 
@@ -281,7 +285,7 @@ class PlaneTree:
     def from_json(cls, text: str) -> "PlaneTree":
         """Parse {"m": int, "plane": node}, where a node is null (a leaf) or
         the list of its children; another shape raises MalformedJSON."""
-        d = _json_object(text, "m")
+        d = _checked_object(json.loads(text), "m")
 
         def conv(node):
             if node is None:
@@ -308,7 +312,7 @@ def _family1_check(x: RnaDiagram) -> None:
 
 
 def _family2_check(x: ColouredTree) -> None:
-    if circular_order(x) != CircularOrder.descending(x.k):
+    if not _is_descending(x):
         raise NotInFamily(2, "circular order is not (k+1 k ... 1)")
     top = x.adjacency[x.k]
     if x.k >= 2 and (len(top) != 1 or 1 not in top):
@@ -363,14 +367,13 @@ def family3_to_2(x: RootedTree) -> ColouredTree:
     return rooted_to_tree(x)
 
 
-def family3_to_4(x: RootedTree) -> MAngulation:
-    """Delete the root m-gon and anchor the marked (formerly S_1) edge at the
-    polygon side [n, 1]."""
+def _delete_root(x: RootedTree) -> tuple[ColouredTree, int]:
+    """Delete the root of a family (3) tree: the other vertices relabelled
+    1..k-1 in order, and the new label of the root's S_1 neighbour."""
     _family3_check(x)
     t = x.tree
     if t.k == 1:
         raise NotInFamily(3, "need at least one non-root vertex")
-    child = t.adjacency[x.root][1]
     keep = [v for v in range(1, t.k + 1) if v != x.root]
     relab = {v: idx + 1 for idx, v in enumerate(keep)}
     inner = ColouredTree(
@@ -378,8 +381,14 @@ def family3_to_4(x: RootedTree) -> MAngulation:
         t.m,
         tuple((relab[u], relab[w], c) for u, w, c in t.edges if x.root not in (u, w)),
     )
-    n = (t.m - 2) * (t.k - 1) + 2
-    cang, _ = _embed(inner, relab[child], n)
+    return inner, relab[t.adjacency[x.root][1]]
+
+
+def family3_to_4(x: RootedTree) -> MAngulation:
+    """Delete the root m-gon and anchor the marked (formerly S_1) edge at the
+    polygon side [n, 1]."""
+    inner, child = _delete_root(x)
+    cang, _ = _embed(inner, child, (inner.m - 2) * inner.k + 2)
     return cang.ang
 
 
@@ -396,17 +405,8 @@ def family4_to_3(x: MAngulation) -> RootedTree:
 
 
 def family3_to_5(x: RootedTree) -> RootedTree:
-    _family3_check(x)
-    t = x.tree
-    child = t.adjacency[x.root][1]
-    keep = [v for v in range(1, t.k + 1) if v != x.root]
-    relab = {v: idx + 1 for idx, v in enumerate(keep)}
-    inner = ColouredTree(
-        t.k - 1,
-        t.m,
-        tuple((relab[u], relab[w], c) for u, w, c in t.edges if x.root not in (u, w)),
-    )
-    out = RootedTree.from_tree(inner, relab[child])
+    inner, child = _delete_root(x)
+    out = RootedTree.from_tree(inner, child)
     _family5_check(out)
     return out
 

@@ -32,10 +32,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _json_object(text: str, *int_keys: str) -> dict:
-    """Parse a JSON object whose `int_keys` hold integers; a document of
-    another shape raises MalformedJSON."""
-    d = json.loads(text)
+def _checked_object(d, *int_keys: str) -> dict:
+    """d, when it is a JSON object (a dict) whose `int_keys` hold integers;
+    a value of another shape raises MalformedJSON."""
     if not isinstance(d, dict):
         raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
     for key in int_keys:
@@ -162,7 +161,7 @@ class ColouredForest:
         """Parse {"k": int, "m": int, "edges": [[u, v, colour], ...]} and
         validate it as `cls`; a document of another shape raises
         MalformedJSON."""
-        d = _json_object(text, "k", "m")
+        d = _checked_object(json.loads(text), "k", "m")
         return cls(d["k"], d["m"], _int_tuples(d, "edges", 3, "[u, v, colour]"))
 
 

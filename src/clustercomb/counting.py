@@ -11,6 +11,7 @@ CLUSTERCOMB_MAX_WORK environment variable).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -118,9 +119,11 @@ def _gbinom(top: int, kk: int) -> int:
     return (-1) ** kk * math.comb(kk - top - 1, kk)
 
 
+@functools.lru_cache(maxsize=None)
 def _coef(k: int, r: int, t: int) -> Fraction:
     """r/(tk+r) * binom(tk+r, k) in the cancelled form (r/k)*binom(tk+r-1, k-1),
-    which stays defined when tk+r vanishes; equals 1 at k = 0."""
+    which stays defined when tk+r vanishes; equals 1 at k = 0.  Cached: the
+    same terms recur across the identity's (n, r, s, t)."""
     if k == 0:
         return Fraction(1)
     return Fraction(r, k) * _gbinom(t * k + r - 1, k - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import _is_int, _json_object
+from .core import _checked_object, _is_int
 from .errors import (
     MalformedJSON,
     SelfArc,
@@ -85,23 +85,25 @@ class RnaDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "RnaDiagram":
-        d = _json_object(text, "k", "m")
-        arcs = d.get("arcs")
-
-        def is_slot(x) -> bool:
-            return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
-
-        if not isinstance(arcs, list) or not all(
-            isinstance(a, list) and len(a) == 2 and all(map(is_slot, a)) for a in arcs
-        ):
-            raise MalformedJSON(
-                '"arcs" must be a list of [[vertex, base], [vertex, base]] integer pairs'
-            )
-        return cls(d["k"], d["m"], tuple((tuple(a), tuple(b)) for a, b in arcs))
+        return validate_diagram(json.loads(text))
 
 
 def validate_diagram(raw: dict) -> RnaDiagram:
-    return RnaDiagram(raw["k"], raw["m"], tuple((tuple(a), tuple(b)) for a, b in raw["arcs"]))
+    """Validate {"k": int, "m": int, "arcs": [[[v1, r], [v2, r]], ...]} into
+    an RnaDiagram; a value of another shape raises MalformedJSON."""
+    d = _checked_object(raw, "k", "m")
+    arcs = d.get("arcs")
+
+    def is_slot(x) -> bool:
+        return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
+
+    if not isinstance(arcs, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(map(is_slot, a)) for a in arcs
+    ):
+        raise MalformedJSON(
+            '"arcs" must be a list of [[vertex, base], [vertex, base]] integer pairs'
+        )
+    return RnaDiagram(d["k"], d["m"], tuple((tuple(a), tuple(b)) for a, b in arcs))
 
 
 def is_noncrossing(diagram: RnaDiagram) -> bool:

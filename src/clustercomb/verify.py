@@ -1,13 +1,33 @@
-"""Named verification suites driving the exhaustive desk-scale checks.
+"""Named verification suites: the one implementation of each exhaustive check
+of the paper's claims.
 
-Each suite returns a list of (name, ok, detail) triples; the CLI prints them
-and exits nonzero if any check failed.  The same machinery backs the
-acceptance tests.
+Each suite returns a list of (name, ok, detail) triples.  `clustercomb
+verify` prints them and exits 2 if any check failed; the acceptance tests
+(tests/test_acceptance.py) call the same suites at their own (k, m) and
+assert on the triples, so each claim is checked by one loop.  A passing
+check's detail gives its case count and range.  A failing check stops at
+its first failing case, and its detail names that case, objects as their
+JSON.
+
+The checks, and the acceptance criterion each one backs:
+
+* formulas, at fixed ranges: "closed forms vs reference tables" backs
+  criterion 1 (closed forms); "quadratic recursion", "m-fold convolution",
+  "binomial convolution identity", "T at m=3 is a Catalan difference",
+  "U = T*(k-1)!" and "U rewriting" back criterion 5 (identities).
+* bijection_suite(k, m): every check backs criterion 3 (bijection round
+  trips).
+* induction_suite(k, m): every check backs criterion 6 (induction keeps the
+  circular order).
+* angulation_suite(k, m): every check backs criterion 8 (angulation
+  dynamics: rotation and induction are compositions of mutations).
 """
 from __future__ import annotations
 
+import itertools
+import json
 import math
-import random
+from typing import Callable, Iterable
 
 from . import bijections as bij
 from . import counting as cnt
@@ -15,6 +35,7 @@ from . import induction as ind
 from .angulations import (
     LabelledAngulation,
     boundary_face_count,
+    canonical_rotation,
     colour_from_seed,
     diagonal_rotate,
     find_snakes,
@@ -24,6 +45,7 @@ from .angulations import (
 )
 from .core import (
     CircularOrder,
+    ColouredTree,
     canonical_unlabelled,
     circular_order,
     is_k_cycle,
@@ -34,190 +56,369 @@ from .errors import VertexOutOfRange
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
 Check = tuple[str, bool, str]
+Case = tuple[dict, Callable[[], bool]]  # the case's inputs by name, its test
+
+
+def _as_text(value) -> str:
+    return value.to_json() if hasattr(value, "to_json") else json.dumps(value)
+
+
+def _check(name: str, cases: Iterable[Case], what: str) -> Check:
+    """Run each case's test in turn.  The first case whose test is false or
+    raises ends the check, and the detail names that case's inputs;
+    otherwise the detail is the number of cases followed by `what`."""
+    count = 0
+    for inputs, holds in cases:
+        try:
+            failure = None if holds() else "fails"
+        except Exception as exc:  # a case that raises is a failing case
+            failure = f"raises {exc!r}"
+        if failure:
+            at = ", ".join(f"{key} {_as_text(v)}" for key, v in inputs.items())
+            return name, False, f"{failure} at {at}"
+        count += 1
+    return name, True, f"{count} {what}"
+
+
+def _over(inputs: Iterable[dict], holds: Callable[..., bool]) -> Iterable[Case]:
+    """The case holds(**x) for each x of `inputs`."""
+    return ((x, lambda: holds(**x)) for x in inputs)
+
+
+def _grid(ks: Iterable[int], ms: Iterable[int]) -> list[dict]:
+    return [{"k": k, "m": m} for m in ms for k in ks]
 
 
 def formulas(kmax: int = 30, mmax: int = 8) -> list[Check]:
-    out: list[Check] = []
-    ok = all(
-        cnt.t_count(k, m) == T_TABLE[m][k] and cnt.s_count(k, m) == S_TABLE[m][k]
-        for m in T_TABLE
-        for k in range(7)
-    ) and all(
-        cnt.u_count(k, m) == U_TABLE[m][k - 1] for m in U_TABLE for k in range(1, 7)
-    )
-    out.append(("closed forms vs reference tables", ok, "m=3..6, k<=6"))
-    ok = all(cnt.check_recursion(k, m) for k in range(1, kmax + 1) for m in range(3, mmax + 1))
-    out.append(("quadratic recursion", ok, f"k<={kmax}, m<={mmax}"))
-    ok = all(cnt.check_convolution(k, m) for k in range(1, 16) for m in range(3, 7))
-    out.append(("m-fold convolution", ok, "k<=15, m<=6"))
-    rng = random.Random(20110)
-    ok = True
-    for _ in range(1000):
-        n = rng.randint(0, 10)
-        r = rng.randint(-5, 5)
-        s = rng.randint(-5, 5)
-        t = rng.randint(1, 4)
-        ok &= cnt.check_gkp_identity(n, r, s, t)
-    out.append(("binomial convolution identity", ok, "1000 sampled tuples"))
-    ok = all(
-        cnt.t_count(k, 3) == cnt.fuss_catalan(k + 1, 2) - cnt.fuss_catalan(k, 2)
-        for k in range(1, kmax + 1)
-    )
-    out.append(("T at m=3 is a Catalan difference", ok, f"k<={kmax}"))
-    ok = all(
-        cnt.u_count(k, m) == cnt.t_count(k, m) * math.factorial(k - 1)
-        for k in range(1, 11)
-        for m in range(3, 7)
-    )
-    out.append(("U = T*(k-1)!", ok, "k<=10, m<=6"))
-    ok = all(
-        cnt.u_count(k, m) == m * math.factorial(k - 2) * math.comb((m - 1) * k, k - 2)
-        for k in range(2, 11)
-        for m in range(3, 7)
-    )
-    out.append(("U rewriting", ok, "k<=10, m<=6"))
-    return out
+    """Closed forms and counting identities, one evaluation per case:
+    - closed forms vs reference tables: T and S for k <= 6, U for
+      1 <= k <= 6, m = 3..6, against tables.py (criterion 1);
+    - quadratic recursion: k <= kmax, m = 3..mmax (criterion 5);
+    - m-fold convolution: k <= 15, m = 3..6 (criterion 5);
+    - binomial convolution identity: every (n, r, s, t) with n in 0..10,
+      r and s in -5..5 and t in 1..4 (criterion 5);
+    - T at m=3 is a Catalan difference, against comb(2x, x) // (x + 1):
+      k <= kmax (criterion 5);
+    - U = T*(k-1)! and U rewriting: k <= 10, m = 3..6 (criterion 5)."""
+
+    def tables_hold(k: int, m: int) -> bool:
+        return (
+            cnt.t_count(k, m) == T_TABLE[m][k]
+            and cnt.s_count(k, m) == S_TABLE[m][k]
+            and (k == 0 or cnt.u_count(k, m) == U_TABLE[m][k - 1])
+        )
+
+    def catalan(x: int) -> int:
+        return math.comb(2 * x, x) // (x + 1)
+
+    box = itertools.product(range(11), range(-5, 6), range(-5, 6), range(1, 5))
+    return [
+        _check(
+            "closed forms vs reference tables",
+            _over(_grid(range(7), T_TABLE), tables_hold),
+            "cases, m=3..6, k<=6",
+        ),
+        _check(
+            "quadratic recursion",
+            _over(_grid(range(1, kmax + 1), range(3, mmax + 1)), cnt.check_recursion),
+            f"cases, k<={kmax}, m<={mmax}",
+        ),
+        _check(
+            "m-fold convolution",
+            _over(_grid(range(1, 16), range(3, 7)), cnt.check_convolution),
+            "cases, k<=15, m<=6",
+        ),
+        _check(
+            "binomial convolution identity",
+            _over((dict(zip("nrst", x)) for x in box), cnt.check_gkp_identity),
+            "tuples, n<=10, -5<=r,s<=5, t<=4",
+        ),
+        _check(
+            "T at m=3 is a Catalan difference",
+            _over(
+                ({"k": k} for k in range(1, kmax + 1)),
+                lambda k: cnt.t_count(k, 3) == catalan(k + 1) - catalan(k),
+            ),
+            f"cases, k<={kmax}",
+        ),
+        _check(
+            "U = T*(k-1)!",
+            _over(
+                _grid(range(1, 11), range(3, 7)),
+                lambda k, m: cnt.u_count(k, m) == cnt.t_count(k, m) * math.factorial(k - 1),
+            ),
+            "cases, k<=10, m<=6",
+        ),
+        _check(
+            "U rewriting",
+            _over(
+                _grid(range(2, 11), range(3, 7)),
+                lambda k, m: cnt.u_count(k, m)
+                == m * math.factorial(k - 2) * math.comb((m - 1) * k, k - 2),
+            ),
+            "cases, k<=10, m<=6",
+        ),
+    ]
 
 
 def bijection_suite(k: int = 3, m: int = 3) -> list[Check]:
-    out: list[Check] = []
-    trips = 0
-    ok = True
-    for kk in range(1, k + 1):
-        for d in cnt.enumerate_diagrams(kk, m, noncrossing_only=True):
-            ok &= bij.forest_to_diagram(bij.diagram_to_forest(d)) == d
-            trips += 1
-    out.append(("diagram<->forest round trips", ok, f"{trips} diagrams, k<={k}, m={m}"))
-    trips = 0
-    ok = True
-    for kk in range(1, k + 1):
-        for t in cnt.enumerate_trees(kk, m, CircularOrder.descending(kk)):
-            ok &= bij.rooted_to_tree(bij.tree_to_rooted(t)) == t
-            ra = bij.labelled_tree_to_rooted_angulation(t)
-            ok &= bij.rooted_angulation_to_tree(ra) == t
-            trips += 1
-    out.append(("tree<->rooted and <->rooted angulation", ok, f"{trips} trees"))
-    trips = 0
-    ok = True
-    for kk in range(1, k + 1):
-        seen = set()
-        for t in cnt.enumerate_trees(kk, m):
-            u = canonical_unlabelled(t)
-            if u in seen:
-                continue
-            seen.add(u)
-            ok &= bij.angulation_to_tree(bij.tree_to_angulation(u)) == u
-            trips += 1
-    out.append(("tree<->angulation round trips", ok, f"{trips} unlabelled trees"))
-    ok = True
-    sizes = []
-    for kk in range(1, k + 1):
-        f2 = [
-            t
-            for t in cnt.enumerate_trees(kk + 1, m, CircularOrder.descending(kk + 1))
-            if len(t.adjacency[kk + 1]) == 1 and 1 in t.adjacency[kk + 1]
-        ]
-        f4 = list(cnt.enumerate_angulations(kk, m))
-        ok &= len(f2) == len(f4) == cnt.s_count(kk, m)
-        for t in f2:
-            ok &= bij.family_chain(bij.family_chain(t, 2, 6), 6, 2) == t
-            ok &= bij.family_chain(bij.family_chain(t, 2, 1), 1, 2) == t
-        imgs = {bij.family_chain(a, 4, 6).to_json() for a in f4}
-        ok &= len(imgs) == cnt.s_count(kk, m)
-        sizes.append(len(f2))
-    out.append(("six-family chain", ok, f"family sizes {sizes} at k<={k}, m={m}"))
-    ok = True
-    for kk in range(1, k + 1):
-        for d in cnt.enumerate_diagrams(kk, m, connected_only=True, noncrossing_only=True):
-            ok &= bij.vertex1_recombine(bij.vertex1_decompose(d)) == d
-            parts = bij.sigma_decompose(d)
-            ok &= bij.sigma_recombine(parts) == d
-            ok &= all(is_connected(p) and is_noncrossing(p) for p in parts)
-    out.append(("recursion bijections invert", ok, f"connected diagrams, k<={k}, m={m}"))
-    return out
+    """Round trips of the bijections over every object with at most k
+    vertices at m colours, all backing criterion 3:
+    - diagram<->forest round trips: every noncrossing diagram;
+    - tree<->rooted and <->rooted angulation: every tree of circular order
+      (k k-1 ... 1), through the rooted tree and the rooted angulation;
+    - tree<->angulation round trips: every unlabelled tree, whose angulation
+      is also its own canonical rotation with k faces on (m-2)k+2 vertices;
+    - six-family chain: every member of family (2) goes 2 -> t -> 2 for each
+      target t in 1, 3, 4, 5, 6, and family (4) maps injectively into
+      families (1) and (6), all three of size S;
+    - recursion bijections invert: vertex1 and sigma decompositions of every
+      connected noncrossing diagram recombine to it, with connected
+      noncrossing sigma parts."""
+    ks = range(1, k + 1)
+    where = f"k<={k}, m={m}"
+
+    def diagrams():
+        for kk in ks:
+            for d in cnt.enumerate_diagrams(kk, m, noncrossing_only=True):
+                yield {"diagram": d}, lambda: bij.forest_to_diagram(bij.diagram_to_forest(d)) == d
+
+    def descending_trees():
+        for kk in ks:
+            for t in cnt.enumerate_trees(kk, m, CircularOrder.descending(kk)):
+
+                def holds():
+                    ra = bij.labelled_tree_to_rooted_angulation(t)
+                    return (
+                        bij.rooted_to_tree(bij.tree_to_rooted(t)) == t
+                        and bij.rooted_angulation_to_tree(ra) == t
+                    )
+
+                yield {"tree": t}, holds
+
+    def unlabelled_trees():
+        for kk in ks:
+            for u in dict.fromkeys(canonical_unlabelled(t) for t in cnt.enumerate_trees(kk, m)):
+
+                def holds():
+                    cang = bij.tree_to_angulation(u)
+                    return (
+                        bij.angulation_to_tree(cang) == u
+                        and canonical_rotation(cang) == cang
+                        and (cang.ang.n, len(cang.ang.faces)) == ((m - 2) * kk + 2, kk)
+                    )
+
+                yield {"tree": u}, holds
+
+    def families():
+        for kk in ks:
+            f2 = [
+                t
+                for t in cnt.enumerate_trees(kk + 1, m, CircularOrder.descending(kk + 1))
+                if len(t.adjacency[kk + 1]) == 1 and 1 in t.adjacency[kk + 1]
+            ]
+            f4 = list(cnt.enumerate_angulations(kk, m))
+            for t in f2:
+                for target in (1, 3, 4, 5, 6):
+                    yield {"tree": t, "target": target}, lambda: (
+                        bij.family_chain(bij.family_chain(t, 2, target), target, 2) == t
+                    )
+            for target in (1, 6):
+                yield {"k": kk, "family (4) into": target}, lambda: (
+                    len({bij.family_chain(a, 4, target).to_json() for a in f4})
+                    == len(f4) == len(f2) == cnt.s_count(kk, m)
+                )
+
+    def connected_diagrams():
+        for kk in ks:
+            for d in cnt.enumerate_diagrams(kk, m, connected_only=True, noncrossing_only=True):
+
+                def holds():
+                    parts = bij.sigma_decompose(d)
+                    return (
+                        bij.vertex1_recombine(bij.vertex1_decompose(d)) == d
+                        and bij.sigma_recombine(parts) == d
+                        and all(is_connected(p) and is_noncrossing(p) for p in parts)
+                    )
+
+                yield {"diagram": d}, holds
+
+    return [
+        _check("diagram<->forest round trips", diagrams(), f"diagrams, {where}"),
+        _check(
+            "tree<->rooted and <->rooted angulation",
+            descending_trees(),
+            f"descending trees, {where}",
+        ),
+        _check("tree<->angulation round trips", unlabelled_trees(), f"unlabelled trees, {where}"),
+        _check("six-family chain", families(), f"round trips and image checks, {where}"),
+        _check(
+            "recursion bijections invert",
+            connected_diagrams(),
+            f"connected diagrams, {where}",
+        ),
+    ]
 
 
 def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
-    out: list[Check] = []
-    ok = True
-    cases = 0
-    for kk in range(1, k + 1):
-        for t in cnt.enumerate_trees(kk, m):
-            sig = circular_order(t)
-            ok &= is_k_cycle(sig)
-            for i in range(1, m):
-                for c in maximal_chains(t, i, i + 1):
-                    if len(c.vertices) == 1:
-                        continue
-                    r = ind.apply_R(t, c, i)
-                    ok &= circular_order(r) == sig
-                    ok &= circular_order(ind.apply_L(t, c, i)) == sig
-                    ok &= ind.apply_L(r, frozenset(c.vertices), i) == t
-                    cases += 1
-    out.append(("adjacent steps preserve the circular order; L inverts R", ok, f"{cases} steps, k<={k}, m={m}"))
-    ok = True
-    for kk in range(1, min(k, 4) + 1):
-        by_sigma: dict[tuple, list] = {}
-        for t in cnt.enumerate_trees(kk, m):
-            by_sigma.setdefault(circular_order(t).perm, []).append(t)
-        for sig, cls in by_sigma.items():
-            orb = ind.orbit(cls[0])
-            ok &= orb == frozenset(cls)
-            ok &= len(orb) == cnt.t_count(kk, m)
-    out.append(("orbits are the circular-order classes of size T", ok, f"k<={min(k, 4)}, m={m}"))
-    ok = True
-    for kk in range(1, k + 1):
-        for t in cnt.enumerate_trees(kk, m):
-            nf, steps = ind.normal_form(t)
-            ok &= all(c in (1, m) for _, _, c in nf.edges)
-            ok &= circular_order(nf) == circular_order(t)
-            ok &= ind.apply_steps(t, steps) == nf
-            break  # one per k is plenty for the CLI suite
-    out.append(("normal form lands in {S_1, S_m} preserving sigma", ok, f"spot checks k<={k}"))
-    ok = True
-    for kk in range(1, k + 1):
-        line = [(v, v + 1, 1 if v % 2 else m) for v in range(1, kk)]
-        t = cnt.ColouredTree(kk, m, tuple(line))
-        ok &= ind.chain_order(t, 1, m) == kk
-    out.append(("two-colour line induction has order k", ok, f"k<={k}"))
-    return out
+    """R/L induction over every tree with at most k vertices at m colours,
+    all backing criterion 6:
+    - adjacent steps preserve the circular order; L inverts R: for every
+      tree (whose circular order is a k-cycle), every i < m and every
+      maximal S_i-S_{i+1} chain with an edge, R and L keep the circular
+      order and L undoes R;
+    - orbits are the circular-order classes of size T: each class is the
+      orbit of its first tree, for k <= 4 (orbits grow as T);
+    - normal form lands in {S_1, S_m} preserving sigma: the first tree at
+      each k, its step list replayed;
+    - two-colour line induction has order k: the line 1 - 2 - ... - k
+      coloured alternately S_i, S_j, for every pair i < j, with k at least 6
+      (one line per length)."""
+    ks = range(1, k + 1)
+    orbit_k = min(k, 4)
+    line_k = max(k, 6)
+
+    def steps():
+        for kk in ks:
+            for t in cnt.enumerate_trees(kk, m):
+                sig = circular_order(t)
+                for i in range(1, m):
+                    for c in maximal_chains(t, i, i + 1):
+                        if len(c.vertices) == 1:
+                            continue
+
+                        def holds():
+                            r = ind.apply_R(t, c, i)
+                            return (
+                                is_k_cycle(sig)
+                                and circular_order(r) == sig
+                                and circular_order(ind.apply_L(t, c, i)) == sig
+                                and ind.apply_L(r, frozenset(c.vertices), i) == t
+                            )
+
+                        yield {"tree": t, "chain": c.vertices, "i": i}, holds
+
+    def classes():
+        for kk in range(1, orbit_k + 1):
+            by_sigma: dict[tuple, list] = {}
+            for t in cnt.enumerate_trees(kk, m):
+                by_sigma.setdefault(circular_order(t).perm, []).append(t)
+            for cls in by_sigma.values():
+
+                def holds():
+                    orb = ind.orbit(cls[0])
+                    return orb == frozenset(cls) and len(orb) == cnt.t_count(kk, m)
+
+                yield {"tree": cls[0]}, holds
+
+    def normal_forms():
+        for kk in ks:
+            t = next(cnt.enumerate_trees(kk, m))
+
+            def holds():
+                nf, path = ind.normal_form(t)
+                return (
+                    all(c in (1, m) for _, _, c in nf.edges)
+                    and circular_order(nf) == circular_order(t)
+                    and ind.apply_steps(t, path) == nf
+                )
+
+            yield {"tree": t}, holds
+
+    def lines():
+        for kk in range(1, line_k + 1):
+            for i, j in itertools.combinations(range(1, m + 1), 2):
+                edges = tuple((v, v + 1, i if v % 2 else j) for v in range(1, kk))
+                line = ColouredTree(kk, m, edges)
+                yield {"tree": line, "i": i, "j": j}, lambda: ind.chain_order(line, i, j) == kk
+
+    return [
+        _check(
+            "adjacent steps preserve the circular order; L inverts R",
+            steps(),
+            f"steps, k<={k}, m={m}",
+        ),
+        _check(
+            "orbits are the circular-order classes of size T",
+            classes(),
+            f"classes, k<={orbit_k}, m={m}",
+        ),
+        _check(
+            "normal form lands in {S_1, S_m} preserving sigma",
+            normal_forms(),
+            f"spot checks, k<={k}, m={m}",
+        ),
+        _check("two-colour line induction has order k", lines(), f"lines, k<={line_k}, m={m}"),
+    ]
 
 
 def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
-    out: list[Check] = []
-    ok = True
-    count = 0
-    for kk in range(1, k + 1):
-        for ang in cnt.enumerate_angulations(kk, m):
-            res, seq = rotate_one_step(ang)
-            ok &= res == shift(ang, -1)
-            cur = ang
-            for d in seq:
-                cur = diagonal_rotate(cur, d)
-            ok &= cur == res
-            ok &= kk < 2 or boundary_face_count(ang) >= 2
-            count += 1
-    out.append(("one-step rotation = index shift, sequence replays", ok, f"{count} angulations, k<={k}, m={m}"))
-    ok = True
-    cases = 0
-    for kk in range(1, k + 1):
-        for ang in cnt.enumerate_angulations(kk, m):
-            for c in range(1, m + 1):
-                ca = colour_from_seed(ang, (1, 2), c)
-                la = LabelledAngulation(
-                    ca, tuple((f, idx + 1) for idx, f in enumerate(ca.ang.faces))
-                )
-                t0 = bij.labelled_angulation_to_tree(la)
-                for i in range(1, m):
-                    for s in find_snakes(ca, i, i + 1):
-                        nxt = induct_R_on_labelled_angulation(la, s, i)
-                        left = bij.labelled_angulation_to_tree(nxt)
-                        chain = frozenset(la.label[f] for f in s.faces)
-                        right = ind.apply_R(t0, chain, i, i + 1)
-                        ok &= left == right
-                        cases += 1
-    out.append(("snake induction commutes with tree induction", ok, f"{cases} squares, k<={k}, m={m}"))
-    return out
+    """Mutation dynamics over every m-angulation with at most k faces, all
+    backing criterion 8:
+    - one-step rotation = index shift, sequence replays: rotate_one_step
+      returns the shift by one vertex, replaying its diagonal-rotation
+      sequence gives that result, n one-step rotations give the identity,
+      and an angulation with k >= 2 has at least two boundary faces;
+    - snake induction commutes with tree induction: for every colouring,
+      the face labelling in face order, i < m and S_i-S_{i+1} snake,
+      induction on the labelled angulation matches R on its dual tree, and
+      realizing it as a diagonal-rotation sequence (realize_rotations=True)
+      gives the same angulation, so induction is a composition of
+      mutations."""
+    ks = range(1, k + 1)
+    where = f"k<={k}, m={m}"
+
+    def angulations():
+        for kk in ks:
+            for ang in cnt.enumerate_angulations(kk, m):
+
+                def holds():
+                    res, seq = rotate_one_step(ang)
+                    replay = full = ang
+                    for d in seq:
+                        replay = diagonal_rotate(replay, d)
+                    for _ in range(ang.n):
+                        full = rotate_one_step(full)[0]
+                    return (
+                        res == shift(ang, -1)
+                        and replay == res
+                        and full == ang
+                        and (kk < 2 or boundary_face_count(ang) >= 2)
+                    )
+
+                yield {"angulation": ang}, holds
+
+    def squares():
+        for kk in ks:
+            for ang in cnt.enumerate_angulations(kk, m):
+                for c in range(1, m + 1):
+                    ca = colour_from_seed(ang, (1, 2), c)
+                    la = LabelledAngulation(
+                        ca, tuple((f, idx + 1) for idx, f in enumerate(ca.ang.faces))
+                    )
+                    t0 = bij.labelled_angulation_to_tree(la)
+                    for i in range(1, m):
+                        for s in find_snakes(ca, i, i + 1):
+
+                            def holds():
+                                nxt = induct_R_on_labelled_angulation(la, s, i)
+                                chain = frozenset(la.label[f] for f in s.faces)
+                                return bij.labelled_angulation_to_tree(nxt) == ind.apply_R(
+                                    t0, chain, i, i + 1
+                                ) and nxt == induct_R_on_labelled_angulation(
+                                    la, s, i, realize_rotations=True
+                                )
+
+                            yield {"angulation": la, "snake": s.faces, "i": i}, holds
+
+    return [
+        _check(
+            "one-step rotation = index shift, sequence replays",
+            angulations(),
+            f"angulations, {where}",
+        ),
+        _check("snake induction commutes with tree induction", squares(), f"squares, {where}"),
+    ]
 
 
 def run_suite(name: str, k: int | None = None, m: int | None = None) -> list[Check]:

@@ -3,42 +3,37 @@
 Each test prints a single PASS line on success (run pytest with -s or read
 the captured output); all values are integers and all comparisons are exact
 set or integer equality, so there are no tolerances to calibrate.
-"""
-import math
-import random
 
-from clustercomb import bijections as bij
+Criteria 1, 3, 5, 6 and 8 are checked by the named suites of
+clustercomb.verify, the same code `clustercomb verify` runs; the tests call
+them at their own (k, m) and assert on the results.  A failing suite check
+names its first failing case in the assertion message.
+"""
+import functools
+
 from clustercomb import counting as cnt
 from clustercomb import induction as ind
-from clustercomb.angulations import (
-    LabelledAngulation,
-    colour_from_seed,
-    diagonal_rotate,
-    find_snakes,
-    induct_R_on_labelled_angulation,
-    rotate_one_step,
-    shift,
-)
-from clustercomb.core import (
-    CircularOrder,
-    ColouredTree,
-    canonical_unlabelled,
-    circular_order,
-    is_k_cycle,
-    maximal_chains,
-)
+from clustercomb.core import CircularOrder, circular_order, is_k_cycle, maximal_chains
 from clustercomb.diagrams import is_connected, is_noncrossing, is_saturated
-from clustercomb.tables import S_TABLE, T_TABLE, U_TABLE
+from clustercomb.verify import angulation_suite, bijection_suite, formulas, induction_suite
+
+TABLES = "closed forms vs reference tables"
+formula_checks = functools.cache(formulas)  # criteria 1 and 5 share one run
+
+
+def passed(checks):
+    """Assert that there are checks and that each passed; a failing check's
+    detail names its first failing case.  Returns the details for the PASS
+    line."""
+    assert checks
+    for name, ok, detail in checks:
+        assert ok, f"{name}: {detail}"
+    return "; ".join(f"{name} ({detail})" for name, _, detail in checks)
 
 
 def test_acceptance_1_closed_form_tables():
-    for m in (3, 4, 5, 6):
-        for k in range(7):
-            assert cnt.t_count(k, m) == T_TABLE[m][k]
-            assert cnt.s_count(k, m) == S_TABLE[m][k]
-        for k in range(1, 7):
-            assert cnt.u_count(k, m) == U_TABLE[m][k - 1]
-    print("ACCEPTANCE 1 PASS: closed forms reproduce all table entries (m=3..6, k<=6), exact")
+    tables = [c for c in formula_checks() if c[0] == TABLES]
+    print(f"ACCEPTANCE 1 PASS: {passed(tables)}, exact")
 
 
 def test_acceptance_2_enumeration_equals_formula():
@@ -60,39 +55,8 @@ def test_acceptance_2_enumeration_equals_formula():
 
 
 def test_acceptance_3_bijection_round_trips():
-    trips = 0
-    for m in (3, 4):
-        for k in range(1, 5):
-            for d in cnt.enumerate_diagrams(k, m, noncrossing_only=True):
-                assert bij.forest_to_diagram(bij.diagram_to_forest(d)) == d
-                trips += 1
-            for t in cnt.enumerate_trees(k, m, CircularOrder.descending(k)):
-                assert bij.rooted_to_tree(bij.tree_to_rooted(t)) == t
-                ra = bij.labelled_tree_to_rooted_angulation(t)
-                assert bij.rooted_angulation_to_tree(ra) == t
-                trips += 2
-            seen = set()
-            for t in cnt.enumerate_trees(k, m):
-                u = canonical_unlabelled(t)
-                if u in seen:
-                    continue
-                seen.add(u)
-                assert bij.angulation_to_tree(bij.tree_to_angulation(u)) == u
-                trips += 1
-            # six-family chain: cycle from family (2) through every family
-            for t in cnt.enumerate_trees(k + 1, m, CircularOrder.descending(k + 1)):
-                top = t.adjacency[k + 1]
-                if len(top) != 1 or 1 not in top:
-                    continue
-                for target in (1, 3, 4, 5, 6):
-                    img = bij.family_chain(t, 2, target)
-                    assert bij.family_chain(img, target, 2) == t
-                trips += 5
-            f4 = list(cnt.enumerate_angulations(k, m))
-            imgs = {bij.family_chain(a, 4, 1).to_json() for a in f4}
-            assert len(imgs) == len(f4) == cnt.s_count(k, m)
-            trips += len(f4)
-    print(f"ACCEPTANCE 3 PASS: {trips} bijection round trips are identities at k<=4, m<=4, exact")
+    details = " | ".join(passed(bijection_suite(4, m)) for m in (3, 4))
+    print(f"ACCEPTANCE 3 PASS: {details}, exact")
 
 
 def test_acceptance_4_k_cycle_law():
@@ -108,58 +72,13 @@ def test_acceptance_4_k_cycle_law():
 
 
 def test_acceptance_5_identities():
-    assert all(cnt.check_recursion(k, m) for k in range(1, 31) for m in range(3, 9))
-    assert all(cnt.check_convolution(k, m) for k in range(1, 16) for m in range(3, 7))
-    rng = random.Random(19104)
-    for _ in range(1000):
-        n, r, s, t = rng.randint(0, 10), rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 4)
-        assert cnt.check_gkp_identity(n, r, s, t)
-
-    def catalan(x):
-        return math.comb(2 * x, x) // (x + 1)
-
-    assert all(cnt.t_count(k, 3) == catalan(k + 1) - catalan(k) for k in range(1, 31))
-    print(
-        "ACCEPTANCE 5 PASS: recursion (k<=30, m<=8), convolution (k<=15, m<=6), "
-        "1000 sampled binomial-identity tuples, Catalan difference (k<=30), exact"
-    )
+    identities = [c for c in formula_checks() if c[0] != TABLES]
+    print(f"ACCEPTANCE 5 PASS: {passed(identities)}, exact")
 
 
 def test_acceptance_6_induction_suite():
-    steps = 0
-    for m, kmax in ((3, 5), (4, 4)):
-        for k in range(1, kmax + 1):
-            for t in cnt.enumerate_trees(k, m):
-                sig = circular_order(t)
-                for i in range(1, m):
-                    for c in maximal_chains(t, i, i + 1):
-                        if len(c.vertices) == 1:
-                            continue
-                        r = ind.apply_R(t, c, i)
-                        assert circular_order(r) == sig
-                        assert circular_order(ind.apply_L(t, c, i)) == sig
-                        assert ind.apply_L(r, frozenset(c.vertices), i) == t
-                        steps += 1
-    for k in range(1, 5):
-        by_sigma = {}
-        for t in cnt.enumerate_trees(k, 3):
-            by_sigma.setdefault(circular_order(t).perm, []).append(t)
-        for sig, cls in by_sigma.items():
-            orb = ind.orbit(cls[0])
-            assert orb == frozenset(cls)
-            assert len(orb) == cnt.t_count(k, 3)
-    for k in range(1, 7):
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            line = tuple(
-                (v, v + 1, i if v % 2 else j) for v in range(1, k)
-            )
-            t = ColouredTree(k, 3, line)
-            assert ind.chain_order(t, i, j) == k
-    print(
-        f"ACCEPTANCE 6 PASS: sigma invariance + L inverts R over {steps} adjacent steps "
-        "(k<=5 m=3; k<=4 m=4); orbits = sigma classes of size T (k<=4 m=3); "
-        "two-colour line order = k (k<=6), exact"
-    )
+    details = " | ".join(passed(induction_suite(k, m)) for k, m in ((5, 3), (4, 4)))
+    print(f"ACCEPTANCE 6 PASS: {details}, exact")
 
 
 def test_acceptance_7_counterexample_existence():
@@ -192,42 +111,8 @@ def test_acceptance_7_counterexample_existence():
 
 
 def test_acceptance_8_angulation_dynamics():
-    count = 0
-    for m, kmax in ((3, 5), (4, 3)):
-        for k in range(1, kmax + 1):
-            for ang in cnt.enumerate_angulations(k, m):
-                res, seq = rotate_one_step(ang)
-                assert res == shift(ang, -1)
-                cur = ang
-                for d in seq:
-                    cur = diagonal_rotate(cur, d)
-                assert cur == res
-                full = ang
-                for _ in range(ang.n):
-                    full, _seq = rotate_one_step(full)
-                assert full == ang
-                count += 1
-    squares = 0
-    for k in range(1, 5):
-        for ang in cnt.enumerate_angulations(k, 3):
-            for c in (1, 2, 3):
-                ca = colour_from_seed(ang, (1, 2), c)
-                la = LabelledAngulation(
-                    ca, tuple((f, idx + 1) for idx, f in enumerate(ca.ang.faces))
-                )
-                t0 = bij.labelled_angulation_to_tree(la)
-                for i in (1, 2):
-                    for s in find_snakes(ca, i, i + 1):
-                        out = induct_R_on_labelled_angulation(la, s, i)
-                        left = bij.labelled_angulation_to_tree(out)
-                        chain = frozenset(la.label[f] for f in s.faces)
-                        assert left == ind.apply_R(t0, chain, i, i + 1)
-                        squares += 1
-    print(
-        f"ACCEPTANCE 8 PASS: one-step rotation = index shift with replayable sequences "
-        f"({count} angulations, n-fold iterate = identity); {squares} induction squares "
-        "commute with tree induction (k<=4, m=3), exact"
-    )
+    details = " | ".join(passed(angulation_suite(k, m)) for k, m in ((5, 3), (3, 4)))
+    print(f"ACCEPTANCE 8 PASS: {details}, exact")
 
 
 def test_acceptance_9_saturated_disconnected_exists():

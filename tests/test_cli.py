@@ -177,16 +177,11 @@ def test_orbit_refused_by_work_limit(capsys, monkeypatch):
     assert "297" in err and "100" in err
 
 
-def test_verify_ok(capsys):
-    code, out, _ = run(capsys, ["verify", "formulas"])
-    assert code == 0
-    assert all(line.startswith("ok") for line in out.strip().splitlines())
-
-
 def test_verify_all_suites(capsys):
     code, out, _ = run(capsys, ["verify", "all", "--k", "3", "--m", "3"])
     assert code == 0
-    assert "snake induction" in out
+    assert all(line.startswith("ok") for line in out.strip().splitlines())
+    assert "binomial convolution identity" in out and "snake induction" in out
 
 
 def test_map_empty_diagram_to_forest(capsys, monkeypatch):
@@ -202,6 +197,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(ver, "formulas", lambda *a, **k: [("doomed", False, "injected")])
     code, out, _ = run(capsys, ["verify", "formulas"])
     assert code == 2 and "FAIL" in out
+
+
+def test_verify_failure_names_the_failing_case(capsys, monkeypatch):
+    from clustercomb import induction
+    from clustercomb.counting import enumerate_trees
+    from clustercomb.errors import InvariantBroken
+
+    bad = next(enumerate_trees(3, 3))  # the first tree at k = 3 the suite steps from
+    apply_L = induction.apply_L
+
+    def broken(tree, *args):
+        if tree == bad:
+            raise InvariantBroken("injected")
+        return apply_L(tree, *args)
+
+    monkeypatch.setattr(induction, "apply_L", broken)
+    code, out, _ = run(capsys, ["verify", "induction"])
+    assert code == 2
+    steps = next(line for line in out.splitlines() if "adjacent steps" in line)
+    assert steps.startswith("FAIL")
+    assert f"raises InvariantBroken('injected') at tree {bad.to_json()}, chain [" in steps
 
 
 def _check_dot_syntax(text: str) -> bool:

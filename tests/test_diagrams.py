@@ -9,7 +9,7 @@ from clustercomb.diagrams import (
     is_saturated,
     validate_diagram,
 )
-from clustercomb.errors import SelfArc, SlotReused, UnequalBases
+from clustercomb.errors import MalformedJSON, SelfArc, SlotReused, UnequalBases
 
 
 def test_validate_examples():
@@ -21,6 +21,12 @@ def test_validate_examples():
         RnaDiagram(3, 3, (((1, 1), (2, 1)), ((1, 1), (3, 1))))
     with pytest.raises(SelfArc):
         RnaDiagram(2, 3, (((1, 1), (1, 2)),))
+
+
+@pytest.mark.parametrize("raw", [{"k": 2, "m": 3, "arcs": 5}, [1], {"k": 2, "m": "3", "arcs": []}])
+def test_validate_diagram_rejects_bad_shapes(raw):
+    with pytest.raises(MalformedJSON):
+        validate_diagram(raw)
 
 
 def test_noncrossing_examples():
@@ -62,15 +68,6 @@ def test_noncrossing_invariant_under_vertex_rotation():
 def test_connected_noncrossing_is_saturated():
     for d in enumerate_diagrams(3, 3, connected_only=True, noncrossing_only=True):
         assert is_saturated(d)
-
-
-def test_saturated_but_disconnected_exists_k5_m3():
-    found = None
-    for d in enumerate_diagrams(5, 3, noncrossing_only=True):
-        if len(d.arcs) < 4 and is_saturated(d) and not is_connected(d):
-            found = d
-            break
-    assert found is not None
 
 
 def test_json_round_trip():
