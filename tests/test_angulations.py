@@ -135,6 +135,16 @@ def test_rotate_one_step_is_index_shift():
             assert ok, f"{name}: {detail}"
 
 
+def test_rotate_full_turn_is_identity():
+    # the angulation suite takes k <= 2 at m = 5, 6
+    for m in (5, 6):
+        for ang in enumerate_angulations(3, m):
+            cur = ang
+            for _ in range(ang.n):
+                cur, _seq = rotate_one_step(cur)
+            assert cur == ang
+
+
 def test_boundary_face_count():
     assert boundary_face_count(MAngulation(3, 2, ((1, 3),))) == 2
     fan = MAngulation(4, 4, ((1, 4), (1, 6), (1, 8)))

@@ -177,6 +177,13 @@ def test_orbit_refused_by_work_limit(capsys, monkeypatch):
     assert "297" in err and "100" in err
 
 
+def test_verify_ok(capsys):
+    code, out, _ = run(capsys, ["verify", "bijections", "--k", "2", "--m", "3"])
+    assert code == 0
+    assert all(line.startswith("ok") for line in out.strip().splitlines())
+    assert "k<=2, m=3" in out
+
+
 def test_verify_all_suites(capsys):
     code, out, _ = run(capsys, ["verify", "all", "--k", "3", "--m", "3"])
     assert code == 0
