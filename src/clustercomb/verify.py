@@ -24,6 +24,8 @@ The checks, and the acceptance criterion each one backs:
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -56,33 +58,29 @@ from .errors import VertexOutOfRange
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
 Check = tuple[str, bool, str]
-Case = tuple[dict, Callable[[], bool]]  # the case's inputs by name, its test
 
 
 def _as_text(value) -> str:
-    return value.to_json() if hasattr(value, "to_json") else json.dumps(value)
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return json.dumps(value, default=dataclasses.asdict)
 
 
-def _check(name: str, cases: Iterable[Case], what: str) -> Check:
-    """Run each case's test in turn.  The first case whose test is false or
-    raises ends the check, and the detail names that case's inputs;
-    otherwise the detail is the number of cases followed by `what`."""
+def _check(name: str, inputs: Iterable[dict], holds: Callable[..., bool], what: str) -> Check:
+    """Test holds(**x) for each case x of `inputs` in turn.  The first case
+    that is false or raises ends the check, and the detail names that case's
+    inputs; otherwise the detail is the number of cases followed by `what`."""
     count = 0
-    for inputs, holds in cases:
+    for x in inputs:
         try:
-            failure = None if holds() else "fails"
+            failure = None if holds(**x) else "fails"
         except Exception as exc:  # a case that raises is a failing case
             failure = f"raises {exc!r}"
         if failure:
-            at = ", ".join(f"{key} {_as_text(v)}" for key, v in inputs.items())
+            at = ", ".join(f"{key} {_as_text(v)}" for key, v in x.items())
             return name, False, f"{failure} at {at}"
         count += 1
     return name, True, f"{count} {what}"
-
-
-def _over(inputs: Iterable[dict], holds: Callable[..., bool]) -> Iterable[Case]:
-    """The case holds(**x) for each x of `inputs`."""
-    return ((x, lambda: holds(**x)) for x in inputs)
 
 
 def _grid(ks: Iterable[int], ms: Iterable[int]) -> list[dict]:
@@ -115,47 +113,45 @@ def formulas(kmax: int = 30, mmax: int = 8) -> list[Check]:
     return [
         _check(
             "closed forms vs reference tables",
-            _over(_grid(range(7), T_TABLE), tables_hold),
+            _grid(range(7), T_TABLE),
+            tables_hold,
             "cases, m=3..6, k<=6",
         ),
         _check(
             "quadratic recursion",
-            _over(_grid(range(1, kmax + 1), range(3, mmax + 1)), cnt.check_recursion),
+            _grid(range(1, kmax + 1), range(3, mmax + 1)),
+            cnt.check_recursion,
             f"cases, k<={kmax}, m<={mmax}",
         ),
         _check(
             "m-fold convolution",
-            _over(_grid(range(1, 16), range(3, 7)), cnt.check_convolution),
+            _grid(range(1, 16), range(3, 7)),
+            cnt.check_convolution,
             "cases, k<=15, m<=6",
         ),
         _check(
             "binomial convolution identity",
-            _over((dict(zip("nrst", x)) for x in box), cnt.check_gkp_identity),
+            (dict(zip("nrst", x)) for x in box),
+            cnt.check_gkp_identity,
             "tuples, n<=10, -5<=r,s<=5, t<=4",
         ),
         _check(
             "T at m=3 is a Catalan difference",
-            _over(
-                ({"k": k} for k in range(1, kmax + 1)),
-                lambda k: cnt.t_count(k, 3) == catalan(k + 1) - catalan(k),
-            ),
+            ({"k": k} for k in range(1, kmax + 1)),
+            lambda k: cnt.t_count(k, 3) == catalan(k + 1) - catalan(k),
             f"cases, k<={kmax}",
         ),
         _check(
             "U = T*(k-1)!",
-            _over(
-                _grid(range(1, 11), range(3, 7)),
-                lambda k, m: cnt.u_count(k, m) == cnt.t_count(k, m) * math.factorial(k - 1),
-            ),
+            _grid(range(1, 11), range(3, 7)),
+            lambda k, m: cnt.u_count(k, m) == cnt.t_count(k, m) * math.factorial(k - 1),
             "cases, k<=10, m<=6",
         ),
         _check(
             "U rewriting",
-            _over(
-                _grid(range(2, 11), range(3, 7)),
-                lambda k, m: cnt.u_count(k, m)
-                == m * math.factorial(k - 2) * math.comb((m - 1) * k, k - 2),
-            ),
+            _grid(range(2, 11), range(3, 7)),
+            lambda k, m: cnt.u_count(k, m)
+            == m * math.factorial(k - 2) * math.comb((m - 1) * k, k - 2),
             "cases, k<=10, m<=6",
         ),
     ]
@@ -170,91 +166,89 @@ def bijection_suite(k: int = 3, m: int = 3) -> list[Check]:
     - tree<->angulation round trips: every unlabelled tree, whose angulation
       is also its own canonical rotation with k faces on (m-2)k+2 vertices;
     - six-family chain: every member of family (2) goes 2 -> t -> 2 for each
-      target t in 1, 3, 4, 5, 6, and family (4) maps injectively into
-      families (1) and (6), all three of size S;
+      target t in 1, 3, 4, 5, 6, and every member of family (4) goes
+      4 -> t -> 4 for t in 1 and 6, so family (4) maps injectively into
+      families (1) and (6);
     - recursion bijections invert: vertex1 and sigma decompositions of every
       connected noncrossing diagram recombine to it, with connected
       noncrossing sigma parts."""
     ks = range(1, k + 1)
     where = f"k<={k}, m={m}"
 
-    def diagrams():
+    def diagrams(**flags):
         for kk in ks:
-            for d in cnt.enumerate_diagrams(kk, m, noncrossing_only=True):
-                yield {"diagram": d}, lambda: bij.forest_to_diagram(bij.diagram_to_forest(d)) == d
+            for d in cnt.enumerate_diagrams(kk, m, noncrossing_only=True, **flags):
+                yield {"diagram": d}
 
-    def descending_trees():
-        for kk in ks:
-            for t in cnt.enumerate_trees(kk, m, CircularOrder.descending(kk)):
-
-                def holds():
-                    ra = bij.labelled_tree_to_rooted_angulation(t)
-                    return (
-                        bij.rooted_to_tree(bij.tree_to_rooted(t)) == t
-                        and bij.rooted_angulation_to_tree(ra) == t
-                    )
-
-                yield {"tree": t}, holds
+    def rooted_round_trips(tree: ColouredTree) -> bool:
+        ra = bij.labelled_tree_to_rooted_angulation(tree)
+        return (
+            bij.rooted_to_tree(bij.tree_to_rooted(tree)) == tree
+            and bij.rooted_angulation_to_tree(ra) == tree
+        )
 
     def unlabelled_trees():
         for kk in ks:
             for u in dict.fromkeys(canonical_unlabelled(t) for t in cnt.enumerate_trees(kk, m)):
+                yield {"tree": u}
 
-                def holds():
-                    cang = bij.tree_to_angulation(u)
-                    return (
-                        bij.angulation_to_tree(cang) == u
-                        and canonical_rotation(cang) == cang
-                        and (cang.ang.n, len(cang.ang.faces)) == ((m - 2) * kk + 2, kk)
-                    )
+    def angulation_round_trips(tree: ColouredTree) -> bool:
+        cang = bij.tree_to_angulation(tree)
+        return (
+            bij.angulation_to_tree(cang) == tree
+            and canonical_rotation(cang) == cang
+            and (cang.ang.n, len(cang.ang.faces)) == ((m - 2) * tree.k + 2, tree.k)
+        )
 
-                yield {"tree": u}, holds
-
-    def families():
+    def family_members():
         for kk in ks:
-            f2 = [
-                t
-                for t in cnt.enumerate_trees(kk + 1, m, CircularOrder.descending(kk + 1))
-                if len(t.adjacency[kk + 1]) == 1 and 1 in t.adjacency[kk + 1]
-            ]
-            f4 = list(cnt.enumerate_angulations(kk, m))
-            for t in f2:
-                for target in (1, 3, 4, 5, 6):
-                    yield {"tree": t, "target": target}, lambda: (
-                        bij.family_chain(bij.family_chain(t, 2, target), target, 2) == t
-                    )
-            for target in (1, 6):
-                yield {"k": kk, "family (4) into": target}, lambda: (
-                    len({bij.family_chain(a, 4, target).to_json() for a in f4})
-                    == len(f4) == len(f2) == cnt.s_count(kk, m)
-                )
+            for t in cnt.enumerate_trees(kk + 1, m, CircularOrder.descending(kk + 1)):
+                if len(t.adjacency[kk + 1]) == 1 and 1 in t.adjacency[kk + 1]:
+                    for target in (1, 3, 4, 5, 6):
+                        yield {"member": t, "family": 2, "target": target}
+            for a in cnt.enumerate_angulations(kk, m):
+                for target in (1, 6):
+                    yield {"member": a, "family": 4, "target": target}
 
-    def connected_diagrams():
-        for kk in ks:
-            for d in cnt.enumerate_diagrams(kk, m, connected_only=True, noncrossing_only=True):
+    def family_round_trip(member, family: int, target: int) -> bool:
+        return bij.family_chain(bij.family_chain(member, family, target), target, family) == member
 
-                def holds():
-                    parts = bij.sigma_decompose(d)
-                    return (
-                        bij.vertex1_recombine(bij.vertex1_decompose(d)) == d
-                        and bij.sigma_recombine(parts) == d
-                        and all(is_connected(p) and is_noncrossing(p) for p in parts)
-                    )
-
-                yield {"diagram": d}, holds
+    def recursions_invert(diagram) -> bool:
+        parts = bij.sigma_decompose(diagram)
+        return (
+            bij.vertex1_recombine(bij.vertex1_decompose(diagram)) == diagram
+            and bij.sigma_recombine(parts) == diagram
+            and all(is_connected(p) and is_noncrossing(p) for p in parts)
+        )
 
     return [
-        _check("diagram<->forest round trips", diagrams(), f"diagrams, {where}"),
+        _check(
+            "diagram<->forest round trips",
+            diagrams(),
+            lambda diagram: bij.forest_to_diagram(bij.diagram_to_forest(diagram)) == diagram,
+            f"diagrams, {where}",
+        ),
         _check(
             "tree<->rooted and <->rooted angulation",
-            descending_trees(),
+            (
+                {"tree": t}
+                for kk in ks
+                for t in cnt.enumerate_trees(kk, m, CircularOrder.descending(kk))
+            ),
+            rooted_round_trips,
             f"descending trees, {where}",
         ),
-        _check("tree<->angulation round trips", unlabelled_trees(), f"unlabelled trees, {where}"),
-        _check("six-family chain", families(), f"round trips and image checks, {where}"),
+        _check(
+            "tree<->angulation round trips",
+            unlabelled_trees(),
+            angulation_round_trips,
+            f"unlabelled trees, {where}",
+        ),
+        _check("six-family chain", family_members(), family_round_trip, f"round trips, {where}"),
         _check(
             "recursion bijections invert",
-            connected_diagrams(),
+            diagrams(connected_only=True),
+            recursions_invert,
             f"connected diagrams, {where}",
         ),
     ]
@@ -265,10 +259,11 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
     all backing criterion 6:
     - adjacent steps preserve the circular order; L inverts R: for every
       tree (whose circular order is a k-cycle), every i < m and every
-      maximal S_i-S_{i+1} chain with an edge, R and L keep the circular
-      order and L undoes R;
-    - orbits are the circular-order classes of size T: each class is the
-      orbit of its first tree, for k <= 4 (orbits grow as T);
+      maximal S_i-S_{i+1} chain, edgeless ones included, R and L keep the
+      circular order and L undoes R;
+    - orbits are the circular-order classes of size T: the orbit of the
+      first tree of each class is the class the enumerator's order filter
+      gives, of size T, for k <= 4 (orbits grow as T);
     - normal form lands in {S_1, S_m} preserving sigma: the first tree at
       each k, its step list replayed;
     - two-colour line induction has order k: the line 1 - 2 - ... - k
@@ -278,77 +273,80 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
     orbit_k = min(k, 4)
     line_k = max(k, 6)
 
-    def steps():
+    def chains():
         for kk in ks:
             for t in cnt.enumerate_trees(kk, m):
-                sig = circular_order(t)
                 for i in range(1, m):
                     for c in maximal_chains(t, i, i + 1):
-                        if len(c.vertices) == 1:
-                            continue
+                        yield {"tree": t, "chain": c.vertices, "i": i}
 
-                        def holds():
-                            r = ind.apply_R(t, c, i)
-                            return (
-                                is_k_cycle(sig)
-                                and circular_order(r) == sig
-                                and circular_order(ind.apply_L(t, c, i)) == sig
-                                and ind.apply_L(r, frozenset(c.vertices), i) == t
-                            )
+    # a tree's chains are consecutive cases, so one cached order serves them all
+    order_of = functools.lru_cache(maxsize=1)(circular_order)
 
-                        yield {"tree": t, "chain": c.vertices, "i": i}, holds
+    def step_holds(tree: ColouredTree, chain: tuple[int, ...], i: int) -> bool:
+        r = ind.apply_R(tree, chain, i)
+        if len(chain) == 1:  # an edgeless chain: R and L are the identity
+            return r == ind.apply_L(tree, chain, i) == tree
+        sig = order_of(tree)
+        return (
+            is_k_cycle(sig)
+            and circular_order(r) == sig
+            and circular_order(ind.apply_L(tree, chain, i)) == sig
+            and ind.apply_L(r, chain, i) == tree
+        )
 
-    def classes():
+    def class_firsts():
         for kk in range(1, orbit_k + 1):
-            by_sigma: dict[tuple, list] = {}
+            firsts: dict[tuple, ColouredTree] = {}
             for t in cnt.enumerate_trees(kk, m):
-                by_sigma.setdefault(circular_order(t).perm, []).append(t)
-            for cls in by_sigma.values():
+                firsts.setdefault(circular_order(t).perm, t)
+            for t in firsts.values():
+                yield {"tree": t}
 
-                def holds():
-                    orb = ind.orbit(cls[0])
-                    return orb == frozenset(cls) and len(orb) == cnt.t_count(kk, m)
+    def orbit_is_class(tree: ColouredTree) -> bool:
+        orb = ind.orbit(tree)
+        cls = frozenset(cnt.enumerate_trees(tree.k, m, circular_order(tree)))
+        return orb == cls and len(orb) == cnt.t_count(tree.k, m)
 
-                yield {"tree": cls[0]}, holds
-
-    def normal_forms():
-        for kk in ks:
-            t = next(cnt.enumerate_trees(kk, m))
-
-            def holds():
-                nf, path = ind.normal_form(t)
-                return (
-                    all(c in (1, m) for _, _, c in nf.edges)
-                    and circular_order(nf) == circular_order(t)
-                    and ind.apply_steps(t, path) == nf
-                )
-
-            yield {"tree": t}, holds
+    def normal_form_holds(tree: ColouredTree) -> bool:
+        nf, path = ind.normal_form(tree)
+        return (
+            all(c in (1, m) for _, _, c in nf.edges)
+            and circular_order(nf) == circular_order(tree)
+            and ind.apply_steps(tree, path) == nf
+        )
 
     def lines():
         for kk in range(1, line_k + 1):
             for i, j in itertools.combinations(range(1, m + 1), 2):
                 edges = tuple((v, v + 1, i if v % 2 else j) for v in range(1, kk))
-                line = ColouredTree(kk, m, edges)
-                yield {"tree": line, "i": i, "j": j}, lambda: ind.chain_order(line, i, j) == kk
+                yield {"tree": ColouredTree(kk, m, edges), "i": i, "j": j}
 
     return [
         _check(
             "adjacent steps preserve the circular order; L inverts R",
-            steps(),
+            chains(),
+            step_holds,
             f"steps, k<={k}, m={m}",
         ),
         _check(
             "orbits are the circular-order classes of size T",
-            classes(),
+            class_firsts(),
+            orbit_is_class,
             f"classes, k<={orbit_k}, m={m}",
         ),
         _check(
             "normal form lands in {S_1, S_m} preserving sigma",
-            normal_forms(),
+            ({"tree": next(cnt.enumerate_trees(kk, m))} for kk in ks),
+            normal_form_holds,
             f"spot checks, k<={k}, m={m}",
         ),
-        _check("two-colour line induction has order k", lines(), f"lines, k<={line_k}, m={m}"),
+        _check(
+            "two-colour line induction has order k",
+            lines(),
+            lambda tree, i, j: ind.chain_order(tree, i, j) == tree.k,
+            f"lines, k<={line_k}, m={m}",
+        ),
     ]
 
 
@@ -359,65 +357,65 @@ def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
       returns the shift by one vertex, replaying its diagonal-rotation
       sequence gives that result, n one-step rotations give the identity,
       and an angulation with k >= 2 has at least two boundary faces;
-    - snake induction commutes with tree induction: for every colouring,
-      the face labelling in face order, i < m and S_i-S_{i+1} snake,
-      induction on the labelled angulation matches R on its dual tree, and
-      realizing it as a diagonal-rotation sequence (realize_rotations=True)
-      gives the same angulation, so induction is a composition of
-      mutations."""
+    - snake induction commutes with tree induction: for every angulation
+      with at most min(k, 4) faces (a square is two inductions, one of them
+      re-splitting the polygon), every colouring, the face labelling in face
+      order, i < m and S_i-S_{i+1} snake, induction on the labelled
+      angulation matches R on its dual tree, and realizing it as a
+      diagonal-rotation sequence (realize_rotations=True) gives the same
+      angulation, so induction is a composition of mutations."""
     ks = range(1, k + 1)
-    where = f"k<={k}, m={m}"
+    snake_k = min(k, 4)
 
-    def angulations():
-        for kk in ks:
-            for ang in cnt.enumerate_angulations(kk, m):
+    def rotation_holds(angulation) -> bool:
+        res, seq = rotate_one_step(angulation)
+        replay = full = angulation
+        for d in seq:
+            replay = diagonal_rotate(replay, d)
+        for _ in range(angulation.n):
+            full = rotate_one_step(full)[0]
+        return (
+            res == shift(angulation, -1)
+            and replay == res
+            and full == angulation
+            and (len(angulation.faces) < 2 or boundary_face_count(angulation) >= 2)
+        )
 
-                def holds():
-                    res, seq = rotate_one_step(ang)
-                    replay = full = ang
-                    for d in seq:
-                        replay = diagonal_rotate(replay, d)
-                    for _ in range(ang.n):
-                        full = rotate_one_step(full)[0]
-                    return (
-                        res == shift(ang, -1)
-                        and replay == res
-                        and full == ang
-                        and (kk < 2 or boundary_face_count(ang) >= 2)
-                    )
-
-                yield {"angulation": ang}, holds
-
-    def squares():
-        for kk in ks:
+    def snakes():
+        for kk in range(1, snake_k + 1):
             for ang in cnt.enumerate_angulations(kk, m):
                 for c in range(1, m + 1):
                     ca = colour_from_seed(ang, (1, 2), c)
                     la = LabelledAngulation(
                         ca, tuple((f, idx + 1) for idx, f in enumerate(ca.ang.faces))
                     )
-                    t0 = bij.labelled_angulation_to_tree(la)
+                    tree = bij.labelled_angulation_to_tree(la)
                     for i in range(1, m):
                         for s in find_snakes(ca, i, i + 1):
+                            yield {"angulation": la, "tree": tree, "snake": s}
 
-                            def holds():
-                                nxt = induct_R_on_labelled_angulation(la, s, i)
-                                chain = frozenset(la.label[f] for f in s.faces)
-                                return bij.labelled_angulation_to_tree(nxt) == ind.apply_R(
-                                    t0, chain, i, i + 1
-                                ) and nxt == induct_R_on_labelled_angulation(
-                                    la, s, i, realize_rotations=True
-                                )
-
-                            yield {"angulation": la, "snake": s.faces, "i": i}, holds
+    def square_holds(angulation: LabelledAngulation, tree: ColouredTree, snake) -> bool:
+        nxt = induct_R_on_labelled_angulation(angulation, snake, snake.i)
+        chain = frozenset(angulation.label[f] for f in snake.faces)
+        return bij.labelled_angulation_to_tree(nxt) == ind.apply_R(
+            tree, chain, snake.i, snake.j
+        ) and nxt == induct_R_on_labelled_angulation(
+            angulation, snake, snake.i, realize_rotations=True
+        )
 
     return [
         _check(
             "one-step rotation = index shift, sequence replays",
-            angulations(),
-            f"angulations, {where}",
+            ({"angulation": a} for kk in ks for a in cnt.enumerate_angulations(kk, m)),
+            rotation_holds,
+            f"angulations, k<={k}, m={m}",
         ),
-        _check("snake induction commutes with tree induction", squares(), f"squares, {where}"),
+        _check(
+            "snake induction commutes with tree induction",
+            snakes(),
+            square_holds,
+            f"squares, k<={snake_k}, m={m}",
+        ),
     ]
 
 

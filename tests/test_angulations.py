@@ -128,21 +128,11 @@ def test_rotate_one_step_fan_sequence():
     assert seq[:3] == ((1, 8), (1, 6), (1, 4))
 
 
-def test_rotate_one_step_is_index_shift():
-    # the whole angulation suite at m = 5, 6; m = 3, 4 are in the acceptance tests
-    for m in (5, 6):
-        for name, ok, detail in angulation_suite(2, m):
-            assert ok, f"{name}: {detail}"
-
-
-def test_rotate_full_turn_is_identity():
-    # the angulation suite takes k <= 2 at m = 5, 6
-    for m in (5, 6):
-        for ang in enumerate_angulations(3, m):
-            cur = ang
-            for _ in range(ang.n):
-                cur, _seq = rotate_one_step(cur)
-            assert cur == ang
+@pytest.mark.parametrize("k,m", [(2, 5), (2, 6), (2, 7)])
+def test_rotate_one_step_is_index_shift(k, m):
+    # the whole angulation suite; the acceptance tests take m = 3, 4
+    for name, ok, detail in angulation_suite(k, m):
+        assert ok, f"{name}: {detail}"
 
 
 def test_boundary_face_count():

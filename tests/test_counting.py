@@ -28,30 +28,6 @@ def test_fuss_catalan_values():
             assert fuss_catalan(k, d) == math.comb(d * k, k - 1) // k
 
 
-# formulas() checks these identities at m = 3..6 and k <= 10 (k <= 30 for the
-# Catalan difference); the tests below take the ranges beyond.
-
-
-def test_u_equals_t_times_factorial():
-    for m in (7, 8):
-        for k in range(1, 11):
-            assert u_count(k, m) == t_count(k, m) * math.factorial(k - 1)
-
-
-def test_u_rewriting():
-    for m in (7, 8):
-        for k in range(2, 11):
-            assert u_count(k, m) == m * math.factorial(k - 2) * math.comb((m - 1) * k, k - 2)
-
-
-def test_catalan_difference():
-    def catalan(r):
-        return math.comb(2 * r, r) // (r + 1)
-
-    for k in range(31, 61):
-        assert t_count(k, 3) == catalan(k + 1) - catalan(k)
-
-
 def test_check_recursion():
     assert check_recursion(1, 3)
     # (k,m)=(4,4): 88 = sum of S products

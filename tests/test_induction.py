@@ -91,6 +91,7 @@ def test_apply_R_general_chain_rewriting():
 
 
 def test_apply_L_inverts_apply_R():
+    # L takes the image of test_apply_R_concrete_path back to the path
     t = validate_tree([(1, 3, 2), (2, 3, 1)], 3, 3)
     assert set(apply_L(t, (1, 2, 3), 1, 2).edges) == {(1, 2, 1), (2, 3, 2)}
 
