@@ -186,12 +186,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = ver.run_suite(args.suite, args.k, args.m)
-    status = 0
-    for name, ok, detail in checks:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            status = 2
+    status = 0  # each suite's lines go out before the next suite can fail
+    for suite in ver.SUITES if args.suite == "all" else (args.suite,):
+        for name, ok, detail in ver.run_suite(suite, args.k, args.m):
+            print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+            if not ok:
+                status = 2
+        sys.stdout.flush()
     return status
 
 
@@ -248,7 +249,7 @@ def build_parser() -> _Parser:
     orb.set_defaults(fn=_cmd_orbit)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["formulas", "bijections", "induction", "angulation", "all"])
+    v.add_argument("suite", choices=[*ver.SUITES, "all"])
     v.add_argument("--k", type=int)
     v.add_argument("--m", type=int)
     v.set_defaults(fn=_cmd_verify)

@@ -69,7 +69,10 @@ class ColouredForest:
     """A properly m-edge-coloured forest on vertices 1..k.
 
     ``edges`` is kept sorted with u < v per edge, so equal forests compare and
-    hash equal.  Construction validates all invariants.
+    hash equal.  Construction validates all invariants and fills the slot
+    table ``nbr``: ``nbr[v][c]`` is the S_c-neighbour of vertex v, or 0 when
+    v has no S_c-edge (row 0 and column 0 are unused).  This is the slot
+    layout of an RNA m-diagram, one partner per (vertex, colour) slot.
     """
 
     k: int
@@ -78,13 +81,13 @@ class ColouredForest:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _normalise_edges(self.edges))
-        if self.k < 1:
-            raise VertexOutOfRange(f"k must be >= 1, got {self.k}")
-        if self.m < 1:
-            raise VertexOutOfRange(f"m must be >= 1, got {self.m}")
-        seen_pairs = set()
-        colours_at: dict[tuple[int, int], None] = {}
-        parent = list(range(self.k + 1))
+        k, m = self.k, self.m
+        if k < 1:
+            raise VertexOutOfRange(f"k must be >= 1, got {k}")
+        if m < 1:
+            raise VertexOutOfRange(f"m must be >= 1, got {m}")
+        nbr = [[0] * (m + 1) for _ in range(k + 1)]
+        parent = list(range(k + 1))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -92,33 +95,33 @@ class ColouredForest:
                 x = parent[x]
             return x
 
+        pu = pv = 0  # the previous edge's pair: sorted edges put twins side by side
         for u, v, c in self.edges:
-            if not (1 <= u <= self.k and 1 <= v <= self.k):
-                raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{self.k}")
+            if not (1 <= u <= k and 1 <= v <= k):
+                raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{k}")
             if u == v:
                 raise DuplicateEdge(f"loop at vertex {u}")
-            if not (1 <= c <= self.m):
-                raise VertexOutOfRange(f"colour S_{c} outside S_1..S_{self.m}")
-            if (u, v) in seen_pairs:
+            if not (1 <= c <= m):
+                raise VertexOutOfRange(f"colour S_{c} outside S_1..S_{m}")
+            if u == pu and v == pv:
                 raise DuplicateEdge(f"edge ({u},{v}) appears twice")
-            seen_pairs.add((u, v))
-            for w in (u, v):
-                if (w, c) in colours_at:
-                    raise DuplicateColourAtVertex(w, c)
-                colours_at[(w, c)] = None
+            pu, pv = u, v
+            nu, nv = nbr[u], nbr[v]
+            if nu[c]:
+                raise DuplicateColourAtVertex(u, c)
+            if nv[c]:
+                raise DuplicateColourAtVertex(v, c)
+            nu[c], nv[c] = v, u
             ru, rv = find(u), find(v)
             if ru == rv:
                 raise CycleDetected(f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
+        object.__setattr__(self, "nbr", nbr)
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, int]]:
-        """vertex -> {colour: neighbour}"""
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(1, self.k + 1)}
-        for u, v, c in self.edges:
-            adj[u][c] = v
-            adj[v][c] = u
-        return adj
+        """vertex -> {colour: neighbour}, read off the slot table"""
+        return {v: {c: w for c, w in enumerate(self.nbr[v]) if w} for v in range(1, self.k + 1)}
 
     @property
     def is_tree(self) -> bool:
@@ -134,8 +137,8 @@ class ColouredForest:
             comp[v] = nxt
             while stack:
                 x = stack.pop()
-                for y in self.adjacency[x].values():
-                    if y not in comp:
+                for y in self.nbr[x]:
+                    if y and y not in comp:
                         comp[y] = nxt
                         stack.append(y)
             nxt += 1
@@ -230,11 +233,12 @@ def symbol_action(forest: ColouredForest, r: int, v: int) -> int:
 
 
 def circular_order(forest: ColouredForest) -> CircularOrder:
+    nbr, colours = forest.nbr, range(1, forest.m + 1)
     perm = []
     for v in range(1, forest.k + 1):
         w = v
-        for r in range(1, forest.m + 1):
-            w = forest.adjacency[w].get(r, w)
+        for r in colours:
+            w = nbr[w][r] or w
         perm.append(w)
     return CircularOrder(tuple(perm))
 
@@ -267,20 +271,22 @@ class Chain:
         return frozenset(self.vertices)
 
 
-def _chain_path(adj: dict[int, dict[int, int]], v: int, i: int, j: int) -> tuple[int, ...]:
+def _chain_path(nbr: list[list[int]], v: int, i: int, j: int) -> tuple[int, ...]:
     """The maximal S_i-S_j chain through v, as a vertex path from its smaller
-    end.  Each vertex has at most one edge of each colour, so walking away
-    from v along S_i (or S_j) and alternating colours traces one half of the
-    chain; the cost is the chain's length."""
-    halves = []
-    for c in (i, j):
-        half, w = [], v
-        while c in adj[w]:
-            w = adj[w][c]
-            half.append(w)
-            c = i + j - c
-        halves.append(half)
-    path = halves[0][::-1] + [v] + halves[1]
+    end.  Each vertex has at most one edge of each colour, so walking from v
+    along S_i and alternating colours reaches the chain's end on that side;
+    the walk back from there alternating colours traces the whole chain.
+    The cost is the chain's length, and nothing when v has no S_i-edge."""
+    c, w = i, v
+    while nbr[w][c]:
+        w = nbr[w][c]
+        c = i + j - c
+    path = [w]
+    c = i + j - c
+    while nbr[w][c]:
+        w = nbr[w][c]
+        path.append(w)
+        c = i + j - c
     return tuple(path if path[0] <= path[-1] else reversed(path))
 
 
@@ -288,55 +294,69 @@ def maximal_chains(tree: ColouredForest, i: int, j: int) -> list[Chain]:
     """All maximal S_i-S_j chains; their vertex sets partition 1..k."""
     if not (1 <= i < j <= tree.m):
         raise VertexOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
+    nbr = tree.nbr
     chains = []
-    seen: set[int] = set()
+    seen = [False] * (tree.k + 1)  # the far ends of the chains walked so far
     for v in range(1, tree.k + 1):
-        if v not in seen:
-            path = _chain_path(tree.adjacency, v, i, j)
-            seen.update(path)
+        # a vertex missing an S_i- or an S_j-edge ends its chain, and in
+        # increasing order each chain is met first at its smaller end; given
+        # the colour v lacks first, _chain_path walks the chain once
+        if not seen[v] and not (nbr[v][i] and nbr[v][j]):
+            path = _chain_path(nbr, v, j, i) if nbr[v][i] else _chain_path(nbr, v, i, j)
+            seen[path[-1]] = True
             chains.append(Chain(i, j, path))
-    chains.sort(key=lambda ch: ch.vertices[0])
     return chains
 
 
 # -- canonical unlabelled form -------------------------------------------------
 
 def _centroids(tree: ColouredTree) -> list[int]:
-    if tree.k == 1:
-        return [1]
-    size = {}
-    order = []
-    parent = {1: 0}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in tree.adjacency[v].values():
-            if w != parent[v]:
+    k, nbr = tree.k, tree.nbr
+    parent = [0] * (k + 1)
+    order = [1]
+    for v in order:  # breadth-first; order grows while it is read
+        for w in nbr[v]:
+            if w and w != parent[v]:
                 parent[w] = v
-                stack.append(w)
+                order.append(w)
+    size = [1] * (k + 1)
+    heavy = [0] * (k + 1)  # the largest subtree below each vertex
     for v in reversed(order):
-        size[v] = 1 + sum(size[w] for w in tree.adjacency[v].values() if parent[w] == v)
-    best, cands = None, []
-    for v in order:
-        heavy = max(
-            [tree.k - size[v]]
-            + [size[w] for w in tree.adjacency[v].values() if parent[w] == v]
-        )
-        if best is None or heavy < best:
-            best, cands = heavy, [v]
-        elif heavy == best:
-            cands.append(v)
-    return sorted(cands)
+        p = parent[v]
+        size[p] += size[v]
+        heavy[p] = max(heavy[p], size[v])
+    worst = [max(heavy[v], k - size[v]) for v in range(k + 1)]
+    best = min(worst[1:])
+    return [v for v in range(1, k + 1) if worst[v] == best]
 
 
-def _serialise(tree: ColouredForest, v: int, parent: int) -> str:
-    parts = []
-    for c in sorted(tree.adjacency[v]):
-        w = tree.adjacency[v][c]
-        if w != parent:
-            parts.append(f"{c}{_serialise(tree, w, v)}")
-    return "(" + ",".join(parts) + ")"
+def _preorder(tree: ColouredForest, root: int):
+    """(vertex, colour of its parent edge, depth) for the tree's vertices in
+    the colour-sorted DFS preorder from root, the root first with colour 0.
+    An explicit stack, so deep trees need no recursion."""
+    nbr, m = tree.nbr, tree.m
+    stack = [(root, 0, 0, 0)]
+    while stack:
+        v, par, col, depth = stack.pop()
+        yield v, col, depth
+        row = nbr[v]
+        for c in range(m, 0, -1):
+            if row[c] and row[c] != par:
+                stack.append((row[c], v, c, depth + 1))
+
+
+def _serialise(tree: ColouredForest, root: int) -> str:
+    """The nested key "(c1(...),c2(...))" of the tree rooted at root, the
+    children in colour order; a vertex at depth d after one at depth prev
+    first closes the prev + 1 - d subtrees it leaves."""
+    parts, prev = [], -1
+    for _, c, depth in _preorder(tree, root):
+        if depth:
+            parts.append(")" * (prev + 1 - depth) + ("," if depth <= prev else "") + str(c))
+        parts.append("(")
+        prev = depth
+    parts.append(")" * (prev + 1))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -360,19 +380,9 @@ class UnlabelledTree:
 
 
 def _preorder_relabel(tree: ColouredForest, root: int) -> ColouredTree:
-    label = {}
-    nxt = 1
-
-    def walk(v: int, par: int):
-        nonlocal nxt
+    label = [0] * (tree.k + 1)
+    for nxt, (v, _, _) in enumerate(_preorder(tree, root), 1):
         label[v] = nxt
-        nxt += 1
-        for c in sorted(tree.adjacency[v]):
-            w = tree.adjacency[v][c]
-            if w != par:
-                walk(w, v)
-
-    walk(root, 0)
     edges = tuple((label[u], label[v], c) for u, v, c in tree.edges)
     return ColouredTree(tree.k, tree.m, edges)
 
@@ -386,13 +396,8 @@ def canonical_rooted(tree: ColouredTree, root: int) -> ColouredTree:
 
 def canonical_unlabelled(tree: ColouredTree) -> UnlabelledTree:
     """Canonical representative modulo colour-preserving isomorphism."""
-    best_key = None
-    best_root = None
-    for v in _centroids(tree):
-        key = _serialise(tree, v, 0)
-        if best_key is None or key < best_key:
-            best_key, best_root = key, v
-    return UnlabelledTree(_preorder_relabel(tree, best_root))
+    root = min(_centroids(tree), key=lambda v: _serialise(tree, v))
+    return UnlabelledTree(_preorder_relabel(tree, root))
 
 
 def relabel(tree: ColouredForest, perm: dict[int, int]) -> ColouredForest:

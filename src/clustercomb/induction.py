@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Chain, ColouredTree, Edge, _chain_path, circular_order, maximal_chains
+from .core import Chain, ColouredTree, Edge, _chain_path, _is_int, circular_order, maximal_chains
 from .counting import _guard, _work_limit, t_count
 from .errors import (
     DimensionMismatch,
@@ -64,8 +64,8 @@ def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
     if not (1 <= i < j <= tree.m):
         raise VertexOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
     v = next(iter(want), None)
-    if v in tree.adjacency:
-        path = _chain_path(tree.adjacency, v, i, j)
+    if _is_int(v) and 1 <= v <= tree.k:
+        path = _chain_path(tree.nbr, v, i, j)
         if frozenset(path) == want:
             return Chain(i, j, path)
     raise NotMaximalChain(f"{sorted(want)} is not a maximal S_{i}-S_{j} chain")
@@ -75,24 +75,21 @@ def _successor_edges(
     tree: ColouredTree, path: tuple[int, ...], i: int, j: int, swap_colour: int
 ) -> tuple[Edge, ...]:
     """The sorted edge tuple of R_{i,j} (swap_colour = j) or L_{i,j}
-    (swap_colour = i) on the maximal S_i-S_j chain `path` of `tree`.  Only
-    the chain edges change; each one's colour is read from the adjacency of
-    its first vertex.  The labels are swapped simultaneously across the
-    chain edges of the swapped colour, which are disjoint because a vertex
-    has one edge of each colour.  By maximality, the S_i and S_j edges at
-    the chain's vertices are exactly its edges."""
-    adj = tree.adjacency
-    lab = {v: v for v in path}
-    cols = []
-    for a, b in zip(path, path[1:]):
-        col = i if adj[a].get(i) == b else j
-        cols.append(col)
-        if col == swap_colour:
-            lab[a], lab[b] = b, a
-    new = [e for e in tree.edges if e[0] not in lab or (e[2] != i and e[2] != j)]
-    for a, b, col in zip(path, path[1:], cols):
-        x, y = lab[a], lab[b]
-        new.append((x, y, i + j - col) if x < y else (y, x, i + j - col))
+    (swap_colour = i) on the maximal S_i-S_j chain `path` of `tree`, which
+    has at least one edge.  Only the chain edges change.  Their colours
+    alternate, so the slot table at the first vertex gives them all.  The
+    labels are swapped simultaneously across the chain edges of the swapped
+    colour, every other edge, so the swaps are disjoint.  By maximality, the
+    S_i and S_j edges at the chain's vertices are exactly its edges."""
+    c = i if tree.nbr[path[0]][i] == path[1] else j
+    lab = list(path)  # lab[t]: the label that moves to path[t]'s place
+    for t in range(0 if c == swap_colour else 1, len(lab) - 1, 2):
+        lab[t], lab[t + 1] = lab[t + 1], lab[t]
+    inside = set(path)
+    new = [e for e in tree.edges if e[0] not in inside or (e[2] != i and e[2] != j)]
+    for x, y in zip(lab, lab[1:]):
+        c = i + j - c  # each chain edge exchanges S_i and S_j
+        new.append((x, y, c) if x < y else (y, x, c))
     new.sort()
     return tuple(new)
 

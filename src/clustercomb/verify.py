@@ -419,10 +419,13 @@ def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
     ]
 
 
+SUITES = ("formulas", "bijections", "induction", "angulation")
+
+
 def run_suite(name: str, k: int | None = None, m: int | None = None) -> list[Check]:
-    """Run a named suite; k and m left as None take the suite's own default.
-    A k below 1 would make every range empty and every check pass vacuously,
-    so it is refused."""
+    """Run the suite of SUITES named `name`; k and m left as None take the
+    suite's own default.  A k below 1 would make every range empty and every
+    check pass vacuously, so it is refused."""
     if k is not None and k < 1:
         raise VertexOutOfRange(f"verify needs k >= 1, got k = {k}")
     given = {key: v for key, v in (("k", k), ("m", m)) if v is not None}
@@ -434,11 +437,4 @@ def run_suite(name: str, k: int | None = None, m: int | None = None) -> list[Che
         return induction_suite(**given)
     if name == "angulation":
         return angulation_suite(**given)
-    if name == "all":
-        return (
-            formulas()
-            + bijection_suite(**given)
-            + induction_suite(**given)
-            + angulation_suite(**given)
-        )
     raise ValueError(f"unknown suite {name!r}")

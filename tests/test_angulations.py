@@ -29,7 +29,7 @@ from clustercomb.bijections import (
     labelled_angulation_to_tree,
     labelled_tree_to_labelled_angulation,
 )
-from clustercomb.core import ColouredTree, maximal_chains
+from clustercomb.core import maximal_chains
 from clustercomb.counting import enumerate_angulations, s_count
 from clustercomb.errors import (
     BadDiagonalModulus,
@@ -42,6 +42,7 @@ from clustercomb.errors import (
 )
 from clustercomb.induction import apply_R
 from clustercomb.verify import angulation_suite
+from test_core import random_tree
 
 
 def test_validate_examples():
@@ -394,24 +395,6 @@ def _ref_canonical_rotation(obj):
     return min(cands, key=lambda x: x.to_json())
 
 
-def _random_tree(rng, k, m):
-    used = [set() for _ in range(k + 1)]
-    edges = []
-    for v in range(2, k + 1):
-        while True:
-            u = rng.randrange(1, v)
-            free = [c for c in range(1, m + 1) if c not in used[u]]
-            if free:
-                break
-        c = rng.choice(free)
-        used[u].add(c)
-        used[v].add(c)
-        edges.append((u, v, c))
-    perm = list(range(1, k + 1))
-    rng.shuffle(perm)
-    return ColouredTree(k, m, tuple((perm[u - 1], perm[v - 1], c) for u, v, c in edges))
-
-
 def _kernel_cases():
     """Every angulation at (5,3), (4,4), (3,5) with a random colouring, root
     and labelling, and labelled angulations of seeded trees at k = 30..60."""
@@ -423,7 +406,7 @@ def _kernel_cases():
             rng.shuffle(labels)
             yield LabelledAngulation(cang, tuple(zip(ang.faces, labels)))
     for k, m in ((30, 3), (40, 4), (45, 5), (60, 3)):
-        yield labelled_tree_to_labelled_angulation(_random_tree(rng, k, m))
+        yield labelled_tree_to_labelled_angulation(random_tree(rng, k, m))
 
 
 def test_split_faces_matches_reference():
@@ -598,7 +581,7 @@ def _rotation_cases():
         yield from enumerate_angulations(k, m)
     rng = random.Random(3032)
     for k, m in ((30, 3), (40, 4), (45, 5), (50, 3), (60, 4)):
-        yield labelled_tree_to_labelled_angulation(_random_tree(rng, k, m)).base.ang
+        yield labelled_tree_to_labelled_angulation(random_tree(rng, k, m)).base.ang
 
 
 def test_rotate_one_step_matches_split_reference():

@@ -191,6 +191,30 @@ def test_verify_all_suites(capsys):
     assert "binomial convolution identity" in out and "snake induction" in out
 
 
+def test_verify_all_prints_earlier_suites_before_a_later_error(monkeypatch):
+    # the angulation suite refuses m = 2 after the other suites have run;
+    # with one stream for both outputs, the formulas lines come first
+    import io
+    import sys
+
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    code = cli.main(["verify", "all", "--m", "2"])
+    lines = both.getvalue().splitlines()
+    assert code == 3
+    assert lines[-1] == "validation error: need m >= 3 and k >= 1"
+    assert [line.split(":")[0] for line in lines[:7]] == [
+        "ok   closed forms vs reference tables",
+        "ok   quadratic recursion",
+        "ok   m-fold convolution",
+        "ok   binomial convolution identity",
+        "ok   T at m=3 is a Catalan difference",
+        "ok   U = T*(k-1)!",
+        "ok   U rewriting",
+    ]
+
+
 def test_map_empty_diagram_to_forest(capsys, monkeypatch):
     empty = '{"k":3,"m":3,"arcs":[]}'
     code, out, _ = run(capsys, ["map", "diagram->forest"], stdin=empty, monkeypatch=monkeypatch)

@@ -6,6 +6,8 @@ from clustercomb.core import (
     CircularOrder,
     ColouredForest,
     ColouredTree,
+    _centroids,
+    canonical_rooted,
     canonical_unlabelled,
     circular_order,
     is_k_cycle,
@@ -24,6 +26,80 @@ from clustercomb.errors import (
     NotConnected,
     VertexOutOfRange,
 )
+
+
+def random_tree(rng, k, m):
+    """A seeded properly m-coloured tree on 1..k: each vertex attaches to a
+    random earlier one through a colour still free there, then the labels
+    are shuffled."""
+    used = [set() for _ in range(k + 1)]
+    edges = []
+    for v in range(2, k + 1):
+        while True:
+            u = rng.randrange(1, v)
+            free = [c for c in range(1, m + 1) if c not in used[u]]
+            if free:
+                break
+        c = rng.choice(free)
+        used[u].add(c)
+        used[v].add(c)
+        edges.append((u, v, c))
+    perm = list(range(1, k + 1))
+    rng.shuffle(perm)
+    return ColouredTree(k, m, tuple((perm[u - 1], perm[v - 1], c) for u, v, c in edges))
+
+
+# Each malformed input with the error class and message that validation
+# gives it; the checks run in a fixed order over the sorted edges.
+MALFORMED = [
+    ("loop", 3, 3, [(2, 2, 1)], DuplicateEdge, "loop at vertex 2"),
+    ("vertex above k", 3, 3, [(1, 4, 1)], VertexOutOfRange, "edge (1,4) outside 1..3"),
+    ("vertex 0", 3, 3, [(0, 2, 1)], VertexOutOfRange, "edge (0,2) outside 1..3"),
+    ("colour above m", 3, 3, [(1, 2, 4)], VertexOutOfRange, "colour S_4 outside S_1..S_3"),
+    ("colour 0", 3, 3, [(1, 2, 0)], VertexOutOfRange, "colour S_0 outside S_1..S_3"),
+    ("k below 1", 0, 3, [], VertexOutOfRange, "k must be >= 1, got 0"),
+    ("m below 1", 2, 0, [(1, 2, 1)], VertexOutOfRange, "m must be >= 1, got 0"),
+    ("pair twice, two colours", 3, 3, [(1, 2, 1), (2, 1, 2)], DuplicateEdge,
+     "edge (1,2) appears twice"),
+    ("pair twice, one colour", 3, 3, [(1, 2, 1), (1, 2, 1)], DuplicateEdge,
+     "edge (1,2) appears twice"),
+    ("pair three times", 3, 3, [(1, 2, 1), (1, 2, 3), (1, 2, 2)], DuplicateEdge,
+     "edge (1,2) appears twice"),
+    ("twin pair apart in input order", 5, 3, [(4, 5, 1), (1, 2, 3), (3, 4, 2), (2, 1, 2)],
+     DuplicateEdge, "edge (1,2) appears twice"),
+    ("colour twice at u", 3, 3, [(1, 2, 1), (1, 3, 1)], DuplicateColourAtVertex,
+     "vertex 1 has two edges coloured S_1"),
+    ("colour twice at v", 3, 3, [(1, 3, 1), (2, 3, 1)], DuplicateColourAtVertex,
+     "vertex 3 has two edges coloured S_1"),
+    ("cycle", 3, 3, [(1, 2, 1), (2, 3, 2), (1, 3, 3)], CycleDetected,
+     "edge (2,3) closes a cycle"),
+    ("too few edges for a tree", 4, 3, [(1, 2, 1), (3, 4, 1)], NotConnected,
+     "tree on 4 vertices needs 3 edges, got 2"),
+    # several faults: the first in sorted edge order, then check order, wins
+    ("loop and colour out of range", 4, 3, [(3, 3, 7), (1, 2, 1)], DuplicateEdge,
+     "loop at vertex 3"),
+    ("twin of a pair with its colour out of range", 3, 3, [(1, 2, 1), (1, 2, 9)],
+     VertexOutOfRange, "colour S_9 outside S_1..S_3"),
+    ("pair twice after a colour clash", 4, 3, [(2, 3, 1), (1, 2, 1), (2, 3, 2)],
+     DuplicateColourAtVertex, "vertex 2 has two edges coloured S_1"),
+    ("colour clash before a cycle", 4, 3, [(1, 2, 1), (2, 3, 2), (1, 3, 2), (3, 4, 5)],
+     DuplicateColourAtVertex, "vertex 3 has two edges coloured S_2"),
+    ("cycle before an out-of-range vertex", 5, 3, [(1, 2, 1), (2, 3, 2), (1, 3, 3), (4, 9, 1)],
+     CycleDetected, "edge (2,3) closes a cycle"),
+]
+
+
+@pytest.mark.parametrize("name,k,m,edges,error,message", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_validation_error_class_and_message(name, k, m, edges, error, message):
+    with pytest.raises(error) as err:
+        validate_tree(edges, k, m)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_slot_table_holds_each_edge_at_both_ends():
+    t = validate_tree([(2, 1, 3), (2, 3, 1)], 3, 3)
+    assert t.nbr == [[0, 0, 0, 0], [0, 0, 0, 2], [0, 3, 0, 1], [0, 2, 0, 0]]
+    assert t.adjacency == {1: {3: 2}, 2: {1: 3, 3: 1}, 3: {1: 2}}
 
 
 def test_validate_single_vertex():
@@ -137,6 +213,135 @@ def test_maximal_chains_match_component_walk(k, m):
                 got = maximal_chains(t, i, j)
                 assert all((c.i, c.j) == (i, j) for c in got)
                 assert [c.vertices for c in got] == _component_walk_chains(t, i, j)
+
+
+# -- references: the dict-based kernel, on an adjacency built from the edges --
+
+def _ref_adjacency(tree):
+    adj = {v: {} for v in range(1, tree.k + 1)}
+    for u, v, c in tree.edges:
+        adj[u][c] = v
+        adj[v][c] = u
+    return adj
+
+
+def _ref_circular_order(tree):
+    adj = _ref_adjacency(tree)
+    perm = []
+    for v in range(1, tree.k + 1):
+        w = v
+        for r in range(1, tree.m + 1):
+            w = adj[w].get(r, w)
+        perm.append(w)
+    return tuple(perm)
+
+
+def _ref_maximal_chains(tree, i, j):
+    adj = _ref_adjacency(tree)
+    chains, seen = [], set()
+    for v in range(1, tree.k + 1):
+        if v in seen:
+            continue
+        halves = []
+        for c in (i, j):
+            half, w = [], v
+            while c in adj[w]:
+                w = adj[w][c]
+                half.append(w)
+                c = i + j - c
+            halves.append(half)
+        path = halves[0][::-1] + [v] + halves[1]
+        path = tuple(path if path[0] <= path[-1] else reversed(path))
+        seen.update(path)
+        chains.append(path)
+    return sorted(chains, key=lambda path: path[0])
+
+
+def _ref_centroids(tree):
+    adj = _ref_adjacency(tree)
+    if tree.k == 1:
+        return [1]
+    size, order, parent, stack = {}, [], {1: 0}, [1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v].values():
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    for v in reversed(order):
+        size[v] = 1 + sum(size[w] for w in adj[v].values() if parent[w] == v)
+    best, cands = None, []
+    for v in order:
+        heavy = max([tree.k - size[v]] + [size[w] for w in adj[v].values() if parent[w] == v])
+        if best is None or heavy < best:
+            best, cands = heavy, [v]
+        elif heavy == best:
+            cands.append(v)
+    return sorted(cands)
+
+
+def _ref_canonical_edges(tree):
+    """Edges of the canonical representative: the least recursive colour-sorted
+    serialisation over the centroids, labels in its DFS preorder."""
+    adj = _ref_adjacency(tree)
+
+    def serialise(v, parent):
+        return "(" + ",".join(
+            f"{c}{serialise(adj[v][c], v)}" for c in sorted(adj[v]) if adj[v][c] != parent
+        ) + ")"
+
+    label = {}
+
+    def walk(v, parent):
+        label[v] = len(label) + 1
+        for c in sorted(adj[v]):
+            if adj[v][c] != parent:
+                walk(adj[v][c], v)
+
+    walk(min(_ref_centroids(tree), key=lambda v: serialise(v, 0)), 0)
+    return tuple(sorted((min(label[u], label[v]), max(label[u], label[v]), c)
+                        for u, v, c in tree.edges))
+
+
+def _kernel_corpus():
+    """Every tree at (5,3), (4,4) and (3,5), and seeded trees at k = 30..60."""
+    for k, m in ((5, 3), (4, 4), (3, 5)):
+        yield from enumerate_trees(k, m)
+    rng = random.Random(3032)
+    for k, m in ((30, 3), (40, 4), (45, 5), (60, 3), (60, 6)):
+        for _ in range(4):
+            yield random_tree(rng, k, m)
+
+
+def test_kernel_matches_dict_references():
+    for t in _kernel_corpus():
+        assert circular_order(t).perm == _ref_circular_order(t)
+        for i in range(1, t.m):
+            for j in range(i + 1, t.m + 1):
+                got = maximal_chains(t, i, j)
+                assert all((c.i, c.j) == (i, j) for c in got)
+                assert [c.vertices for c in got] == _ref_maximal_chains(t, i, j)
+        assert _centroids(t) == _ref_centroids(t)
+        assert canonical_unlabelled(t).tree.edges == _ref_canonical_edges(t)
+
+
+def test_canonical_forms_of_a_deep_path():
+    # a 2500-vertex path is 2500 levels deep from an end and 1250 from its
+    # centroid, past the interpreter's recursion limit
+    k = 2500
+    path = validate_tree([(v, v + 1, 1 if v % 2 else 2) for v in range(1, k)], k, 3)
+    rng = random.Random(2500)
+    perm = list(range(1, k + 1))
+    rng.shuffle(perm)
+    moved = relabel(path, dict(zip(range(1, k + 1), perm)))
+    u = canonical_unlabelled(path)
+    rooted = canonical_rooted(path, 1)
+    for t in (u.tree, rooted):
+        assert isinstance(t, ColouredTree) and ColouredTree(k, 3, t.edges) == t
+    assert rooted.edges == path.edges  # the preorder from vertex 1 keeps every label
+    assert canonical_unlabelled(moved) == u
+    assert canonical_rooted(moved, perm[0]) == rooted
 
 
 def test_canonical_unlabelled():
