@@ -7,6 +7,7 @@ from clustercomb.core import (
     ColouredForest,
     ColouredTree,
     _centroids,
+    _serialise,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -281,16 +282,16 @@ def _ref_centroids(tree):
     return sorted(cands)
 
 
+def _ref_serialise(adj, v, parent):
+    return "(" + ",".join(
+        f"{c}{_ref_serialise(adj, adj[v][c], v)}" for c in sorted(adj[v]) if adj[v][c] != parent
+    ) + ")"
+
+
 def _ref_canonical_edges(tree):
     """Edges of the canonical representative: the least recursive colour-sorted
     serialisation over the centroids, labels in its DFS preorder."""
     adj = _ref_adjacency(tree)
-
-    def serialise(v, parent):
-        return "(" + ",".join(
-            f"{c}{serialise(adj[v][c], v)}" for c in sorted(adj[v]) if adj[v][c] != parent
-        ) + ")"
-
     label = {}
 
     def walk(v, parent):
@@ -299,7 +300,7 @@ def _ref_canonical_edges(tree):
             if adj[v][c] != parent:
                 walk(adj[v][c], v)
 
-    walk(min(_ref_centroids(tree), key=lambda v: serialise(v, 0)), 0)
+    walk(min(_ref_centroids(tree), key=lambda v: _ref_serialise(adj, v, 0)), 0)
     return tuple(sorted((min(label[u], label[v]), max(label[u], label[v]), c)
                         for u, v, c in tree.edges))
 
@@ -323,6 +324,8 @@ def test_kernel_matches_dict_references():
                 assert all((c.i, c.j) == (i, j) for c in got)
                 assert [c.vertices for c in got] == _ref_maximal_chains(t, i, j)
         assert _centroids(t) == _ref_centroids(t)
+        adj = _ref_adjacency(t)
+        assert all(_serialise(t, v) == _ref_serialise(adj, v, 0) for v in _centroids(t))
         assert canonical_unlabelled(t).tree.edges == _ref_canonical_edges(t)
 
 
