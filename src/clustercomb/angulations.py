@@ -12,11 +12,15 @@ m-gon-labelled variants carry a distinguished face, respectively a bijection
 faces -> 1..k.
 
 Mutation is diagonal rotation: remove a diagonal, merge its two faces into a
-(2m-2)-gon, and re-split one vertex step anticlockwise.  rotate_one_step
-realizes the global rotation of the whole angulation as an explicit sequence
-of such rotations; induct_R_on_angulation implements chain induction on the
-polygon side (rotate every S_{i+1}-coloured snake diagonal, then shift the
-subpolygons hanging off non-rotated snake ends one step anticlockwise).
+(2m-2)-gon, and re-split one vertex step anticlockwise.  More generally a
+turn of a region (a union of faces) moves every vertex of the region's
+internal diagonals and faces to its predecessor in the region's cycle; a
+diagonal rotation is the turn of its (2m-2)-gon.  rotate_one_step realizes
+the turn of the whole polygon as an explicit sequence of diagonal rotations;
+induct_R_on_angulation implements chain induction on the polygon side as a
+sequence of region turns (every S_{i+1}-coloured snake diagonal's
+(2m-2)-gon, then each subpolygon hanging off a non-rotated snake end
+together with that end's face).
 """
 from __future__ import annotations
 
@@ -157,10 +161,10 @@ class MAngulation:
                     by_diag[e].append(f)
         return {d: (fs[0], fs[1]) for d, fs in by_diag.items()}
 
-    def face_with_edge(self, edge: Diagonal, not_face: Face | None = None) -> Face:
+    def face_with_edge(self, edge: Diagonal) -> Face:
         edge = _norm_edge(*edge)
         for f in self.faces:
-            if edge in _face_edge_cycle(f) and f != not_face:
+            if edge in _face_edge_cycle(f):
                 return f
         raise NotADiagonal(f"{edge} is not an edge of the dissection")
 
@@ -418,6 +422,13 @@ def diagonal_rotate(ang: MAngulation, diag: Sequence[int]) -> MAngulation:
     return MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
 
 
+def _turn_map(region: Sequence[int]) -> dict[int, int]:
+    """One anticlockwise turn of a region (a union of faces, its vertices
+    listed clockwise): each vertex maps to its predecessor in the region's
+    cycle."""
+    return {v: region[p - 1] for p, v in enumerate(region)}
+
+
 def _rotate_region(
     dis: _Dissection, m: int, region: tuple[int, ...], seq: list[Diagonal]
 ) -> None:
@@ -425,15 +436,17 @@ def _rotate_region(
     (in the region's own cycle), realized as primitive diagonal rotations
     appended to seq.  The region is a union of faces of the dissection.
 
-    Recursive scheme: pick a face F with a single internal edge, rotate the
-    fan of diagonals at F's clockwise-first corner (farthest first), rotate
-    the fan of the remainder back one step clockwise, then recurse on the
-    region minus the moved face."""
-    pos = {v: idx for idx, v in enumerate(region)}
-    ln = len(region)
+    Loop over the shrinking region: pick a face F with a single internal
+    edge, rotate the fan of diagonals at F's clockwise-first corner (farthest
+    first), rotate the fan of the remainder back one step clockwise, then go
+    on with the region minus the moved face.  Each level's drift check (its
+    internal diagonals must end as the turn of those it started with) runs
+    once the deeper levels are done, deepest first."""
 
-    def internal_now() -> dict[Diagonal, tuple[int, int]]:
-        """The region's internal diagonals, with the positions of their ends."""
+    def internal_of(pos: dict[int, int]) -> dict[Diagonal, tuple[int, int]]:
+        """The internal diagonals of the region with vertex positions pos,
+        with the positions of their ends."""
+        ln = len(pos)
         out = {}
         for d in dis.diags:
             pa, pb = pos.get(d[0]), pos.get(d[1])
@@ -441,47 +454,53 @@ def _rotate_region(
                 out[d] = (pa, pb)
         return out
 
-    internal = internal_now()
-    if not internal:
-        return
-    expected = {_norm_edge(region[pa - 1], region[pb - 1]) for pa, pb in internal.values()}
-    # the region's faces are m-gons, so a face with a single internal edge
-    # is a run of m consecutive region vertices closed by that edge
-    runs = [
-        [region[(p + t) % ln] for t in range(m)]
-        for pa, pb in internal.values()
-        for p, q in ((pa, pb), (pb, pa))
-        if (q - p) % ln == m - 1
-    ]
-    if not runs:
-        raise InvariantBroken(f"no face of {region} has a single internal edge")
-    run = min(runs, key=sorted)
-    i = run[0]
-    e = _norm_edge(run[0], run[-1])
+    checks: list[tuple[dict[int, int], set[Diagonal]]] = []
+    while True:
+        pos = {v: idx for idx, v in enumerate(region)}
+        internal = internal_of(pos)
+        if not internal:
+            break
+        checks.append(
+            (pos, {_norm_edge(region[pa - 1], region[pb - 1]) for pa, pb in internal.values()})
+        )
+        ln = len(region)
+        # the region's faces are m-gons, so a face with a single internal edge
+        # is a run of m consecutive region vertices closed by that edge
+        runs = [
+            [region[(p + t) % ln] for t in range(m)]
+            for pa, pb in internal.values()
+            for p, q in ((pa, pb), (pb, pa))
+            if (q - p) % ln == m - 1
+        ]
+        if not runs:
+            raise InvariantBroken(f"no face of {region} has a single internal edge")
+        run = min(runs, key=sorted)
+        i = run[0]
+        e = _norm_edge(run[0], run[-1])
 
-    def cdist(d: Diagonal, centre: int) -> int:
-        other = d[1] if d[0] == centre else d[0]
-        return (pos[other] - pos[centre]) % ln
+        def cdist(d: Diagonal, centre: int) -> int:
+            other = d[1] if d[0] == centre else d[0]
+            return (pos[other] - pos[centre]) % ln
 
-    fan = [d for d in internal if i in d]
-    moved: dict[Diagonal, Diagonal] = {}
-    for d in sorted(fan, key=lambda d: -cdist(d, i)):
-        moved[d] = _primitive_rotate(dis, d)
-        seq.append(d)
-    i_prev = region[pos[i] - 1]
-    back = [moved[d] for d in fan if d != e]
-    # clockwise rotation of the remaining fan: nearest first, m-2 primitive
-    # anticlockwise steps per diagonal
-    for d in sorted(back, key=lambda d: cdist(d, i_prev)):
-        cur = d
-        for _ in range(m - 2):
-            seq.append(cur)
-            cur = _primitive_rotate(dis, cur)
-    removed = set(run[: m - 2])
-    sub = tuple(v for v in region if v not in removed)
-    _rotate_region(dis, m, sub, seq)
-    if internal_now().keys() != expected:
-        raise InvariantBroken(f"region rotation drifted on {region}")
+        fan = [d for d in internal if i in d]
+        moved: dict[Diagonal, Diagonal] = {}
+        for d in sorted(fan, key=lambda d: -cdist(d, i)):
+            moved[d] = _primitive_rotate(dis, d)
+            seq.append(d)
+        i_prev = region[pos[i] - 1]
+        back = [moved[d] for d in fan if d != e]
+        # clockwise rotation of the remaining fan: nearest first, m-2 primitive
+        # anticlockwise steps per diagonal
+        for d in sorted(back, key=lambda d: cdist(d, i_prev)):
+            cur = d
+            for _ in range(m - 2):
+                seq.append(cur)
+                cur = _primitive_rotate(dis, cur)
+        removed = set(run[: m - 2])
+        region = tuple(v for v in region if v not in removed)
+    for pos, expected in reversed(checks):
+        if internal_of(pos).keys() != expected:
+            raise InvariantBroken(f"region rotation drifted on {tuple(pos)}")
 
 
 def _shift_vertex(v: int, t: int, n: int) -> int:
@@ -640,30 +659,19 @@ def find_snakes(cang: ColouredAngulation, i: int, j: int) -> list[SnakePolygon]:
     return snakes
 
 
-def _face_after_rotation(face: Face, merged: list[int]) -> Face:
-    pos = {v: idx for idx, v in enumerate(merged)}
-    ln = len(merged)
-    return tuple(sorted(merged[(pos[v] - 1) % ln] for v in face))
-
-
-def _component_region(n: int, edge: Diagonal, away_from: Face) -> tuple[int, int]:
-    """The clockwise arc (start, end) of the subpolygon hanging off `edge` on
-    the side not containing the face `away_from`; returned as polygon vertices
-    with the arc running clockwise from start to end."""
-    a, b = edge
-    inner = set(range(a + 1, b))  # interior of the ascending span
-    rest = set(range(1, n + 1)) - inner - {a, b}
-    others = [v for v in away_from if v not in edge]
-    if all(v in rest for v in others):
-        return (a, b)  # component occupies the ascending span a..b
-    return (b, a)  # component occupies the wrap-around span b..n..a
-
-
 def _induct_core(
     cang: ColouredAngulation, snake: SnakePolygon, i: int, realize_rotations: bool
 ) -> tuple[ColouredAngulation, dict[Face, Face]]:
     """Shared implementation of snake induction; returns the new coloured
-    angulation and the map old face -> new face."""
+    angulation and the map old face -> new face.
+
+    Induction is a sequence of region turns (_turn_map): step 1 turns the
+    (2m-2)-gon of every S_{i+1}-coloured snake diagonal; step 2 turns, at
+    each snake end M that step 1 leaves in place, each subpolygon hanging
+    off M together with M's current face, in clockwise slot order from the
+    snake diagonal.  With realize_rotations a step-2 turn is the rotation
+    sequence of _rotate_region instead of a direct move of its internal
+    diagonals, so the whole induction is a composition of mutations."""
     m, n = cang.m, cang.ang.n
     j = i + 1
     if not (1 <= i <= m - 1):
@@ -684,120 +692,56 @@ def _induct_core(
             raise InvariantBroken(f"snake faces {f1} and {f2} share no diagonal")
         return (common[0], common[1])
 
+    def turned(f: Face, pred: dict[int, int]) -> Face:
+        return tuple(sorted(pred[v] for v in f))
+
     diags_between = [shared_diag(faces[t], faces[t + 1]) for t in range(l - 1)]
     cols = [cang.colour[d] for d in diags_between]
     work = _Dissection(n, cang.ang.diagonals)
 
     # Step 1: rotate every S_{i+1}-coloured snake diagonal one step
-    # anticlockwise; the two adjacent faces travel with the rotation.
+    # anticlockwise; its two faces turn with the merged (2m-2)-gon.
     snake_diag_final: list[Diagonal] = list(diags_between)
     for t, d in enumerate(diags_between):
         if cols[t] != j:
             continue
         f1, f2 = faces[t], faces[t + 1]
-        merged = sorted(set(f1) | set(f2))
-        new_d = _primitive_rotate(work, d)
-        snake_diag_final[t] = new_d
-        face_map[f1] = _face_after_rotation(f1, merged)
-        face_map[f2] = _face_after_rotation(f2, merged)
+        pred = _turn_map(sorted(set(f1) | set(f2)))
+        snake_diag_final[t] = _primitive_rotate(work, d)
+        face_map[f1] = turned(f1, pred)
+        face_map[f2] = turned(f2, pred)
 
-    # Step 2: around each snake end whose internal edge keeps its position
-    # (colour S_i before the exchange), every hanging subpolygon moves one
-    # edge slot anticlockwise.
+    # Step 2: at each snake end whose snake diagonal keeps its place (colour
+    # S_i), turn every hanging subpolygon together with the end's face.
     ends = []
     if cols[0] == i:
         ends.append((faces[0], diags_between[0]))
     if cols[-1] == i:
         ends.append((faces[-1], diags_between[-1]))
     for M, e in ends:
-        cyc = _face_edge_cycle(M)
-        a_idx = cyc.index(e)
-        slot_edges = [cyc[(a_idx + r) % m] for r in range(1, m)]
-        occupants: list[tuple[int, int, int] | None] = []
-        for edge in slot_edges:
-            if edge in work.diags:
-                start, end = _component_region(n, edge, M)
-                occupants.append((start, end, (end - start) % n))
+        s = _face_edge_cycle(M).index(e)
+        for r in range(1, m):
+            a, b = M[(s + r) % m], M[(s + r + 1) % m]  # clockwise side a -> b
+            if _norm_edge(a, b) not in work.diags:
+                continue
+            arc = {(a - 1 + t) % n + 1 for t in range((b - a) % n + 1)}
+            region = tuple(sorted(arc | set(face_map[M])))
+            pred = _turn_map(region)
+            if realize_rotations:
+                _rotate_region(work, m, region, [])
             else:
-                occupants.append(None)
-        if all(o is None for o in occupants):
-            continue
-        if realize_rotations:
-            # sequential whole-subpolygon rotations, ascending slot order so
-            # each component is still attached to M's current face when its
-            # turn comes
-            cur_face = M
-            for occ in occupants:
-                if occ is None:
-                    continue
-                start, end, _ = occ
-                arc = [start]
-                v = start
-                while v != end:
-                    v = v % n + 1
-                    arc.append(v)
-                region = tuple(sorted(set(arc) | set(cur_face)))
-                whole = _split_faces(tuple(range(1, n + 1)), work.diags)
-                comp_faces = [f for f in whole if set(f) <= set(arc)]
-                seq: list[Diagonal] = []
-                _rotate_region(work, m, region, seq)
-                pos = {v: idx for idx, v in enumerate(region)}
-                ln = len(region)
-
-                def pred_shift(f: Face) -> Face:
-                    return tuple(sorted(region[(pos[v] - 1) % ln] for v in f))
-
-                shifts = {f: pred_shift(f) for f in comp_faces + [cur_face]}
-                for old, new in face_map.items():
-                    if new in shifts:
-                        face_map[old] = shifts[new]
-                cur_face = shifts[cur_face]
-        else:
-            # simultaneous slot shift: the occupant of slot r+1 moves to slot r
-            V = _contiguous_m_cycle(M, e)
-            cursor = V[1]  # e runs from V[0] to V[1] in clockwise face order
-            drop: set[Diagonal] = set()
-            add: set[Diagonal] = set()
-            deltas: list[tuple[int, int, int]] = []  # (old_start, old_end, delta)
-            new_m_verts = [V[0], V[1]]
-            for occ in occupants[1:] + [None]:
-                if occ is None:
-                    cursor = cursor % n + 1
-                    new_m_verts.append(cursor)
-                    continue
-                start, end, ln_arc = occ
-                delta = (cursor - start) % n
-                new_end = (cursor - 1 + ln_arc) % n + 1
-                drop.add(_norm_edge(start, end))
-                for d in work.diags:
-                    if d == _norm_edge(start, end):
-                        continue
-                    if _in_arc(d[0], start, end, n) and _in_arc(d[1], start, end, n):
-                        drop.add(d)
-                        add.add(
-                            _norm_edge(
-                                _shift_vertex(d[0], delta, n),
-                                _shift_vertex(d[1], delta, n),
-                            )
-                        )
-                add.add(_norm_edge(cursor, new_end))
-                deltas.append((start, end, delta))
-                cursor = new_end
-                new_m_verts.append(cursor)
-            if cursor != V[0]:
-                raise InvariantBroken("slot shift did not close up around the face")
-            for old, new in face_map.items():
-                for start, end, delta in deltas:
-                    if all(_in_arc(v, start, end, n) for v in new):
-                        face_map[old] = tuple(
-                            sorted(_shift_vertex(v, delta, n) for v in new)
-                        )
-                        break
-            face_map[M] = tuple(sorted(set(new_m_verts)))
-            for d in drop:
-                work.remove(d)
-            for d in add:
-                work.add(d)
+                inside = [
+                    d for d in work.diags
+                    if d[0] in pred and d[1] in pred
+                    and pred[d[0]] != d[1] and pred[d[1]] != d[0]
+                ]
+                for d in inside:
+                    work.remove(d)
+                for d in inside:
+                    work.add(_norm_edge(pred[d[0]], pred[d[1]]))
+            for old, cur in face_map.items():
+                if all(v in pred for v in cur):
+                    face_map[old] = turned(cur, pred)
 
     new_ang = MAngulation(m, cang.k, tuple(sorted(work.diags)))
     seed = snake_diag_final[0]
@@ -806,19 +750,6 @@ def _induct_core(
     if set(face_map.values()) != set(new_ang.faces):
         raise InvariantBroken("face tracking lost a face")
     return result, face_map
-
-
-def _in_arc(v: int, start: int, end: int, n: int) -> bool:
-    """v lies on the clockwise arc start..end (inclusive)."""
-    return (v - start) % n <= (end - start) % n
-
-
-def _contiguous_m_cycle(face: Face, e: Diagonal) -> list[int]:
-    """The face's clockwise vertex walk rotated so that edge e runs from V[0]
-    to V[1]; slot r of the face is then the edge (V[r], V[r+1])."""
-    m = len(face)
-    idx = _face_edge_cycle(face).index(e)
-    return [face[(idx + t) % m] for t in range(m)]
 
 
 def induct_R_on_angulation(

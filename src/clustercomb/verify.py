@@ -358,12 +358,13 @@ def angulation_suite(k: int = 4, m: int = 3) -> list[Check]:
       sequence gives that result, n one-step rotations give the identity,
       and an angulation with k >= 2 has at least two boundary faces;
     - snake induction commutes with tree induction: for every angulation
-      with at most min(k, 4) faces (a square is two inductions, one of them
-      re-splitting the polygon), every colouring, the face labelling in face
-      order, i < m and S_i-S_{i+1} snake, induction on the labelled
-      angulation matches R on its dual tree, and realizing it as a
-      diagonal-rotation sequence (realize_rotations=True) gives the same
-      angulation, so induction is a composition of mutations."""
+      with at most min(k, 4) faces (a square is two inductions plus a dual
+      tree, and the snakes multiply with the angulations and colourings),
+      every colouring, the face labelling in face order, i < m and
+      S_i-S_{i+1} snake, induction on the labelled angulation matches R on
+      its dual tree, and realizing its region turns as diagonal-rotation
+      sequences (realize_rotations=True) gives the same angulation, so
+      induction is a composition of mutations."""
     ks = range(1, k + 1)
     snake_k = min(k, 4)
 

@@ -1,7 +1,9 @@
 import functools
+import inspect
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -254,31 +256,36 @@ def test_induct_labelled_all_labellings_k3():
                             assert left == apply_R(t0, chain, i, i + 1)
 
 
-def test_induct_m4_with_multiple_components():
-    # end faces with two hanging subpolygons exercise the slot shift fully
+def _kept_end_hanging_counts(ca, s, i):
+    """For each end of snake s whose snake diagonal is S_i-coloured (the ends
+    where induction turns hanging subpolygons), the number of its other sides
+    that are diagonals, i.e. of subpolygons hanging off it."""
     from clustercomb.angulations import _face_edge_cycle
 
-    def end_component_counts(ca, s, i):
-        faces = s.faces
-        if len(faces) < 2:
-            return []
+    faces = s.faces
+    if len(faces) < 2:
+        return []
 
-        def shared(f1, f2):
-            common = sorted(set(f1) & set(f2))
-            return (common[0], common[1])
+    def shared(f1, f2):
+        common = sorted(set(f1) & set(f2))
+        return (common[0], common[1])
 
-        dcols = [ca.colour[shared(faces[t], faces[t + 1])] for t in range(len(faces) - 1)]
-        ends = []
-        if dcols[0] == i:
-            ends.append((faces[0], shared(faces[0], faces[1])))
-        if dcols[-1] == i:
-            ends.append((faces[-1], shared(faces[-2], faces[-1])))
-        diags = set(ca.ang.diagonals)
-        return [
-            sum(1 for e in _face_edge_cycle(M) if e != d and e in diags)
-            for M, d in ends
-        ]
+    dcols = [ca.colour[shared(faces[t], faces[t + 1])] for t in range(len(faces) - 1)]
+    ends = []
+    if dcols[0] == i:
+        ends.append((faces[0], shared(faces[0], faces[1])))
+    if dcols[-1] == i:
+        ends.append((faces[-1], shared(faces[-2], faces[-1])))
+    diags = set(ca.ang.diagonals)
+    return [
+        sum(1 for e in _face_edge_cycle(M) if e != d and e in diags)
+        for M, d in ends
+    ]
 
+
+def test_induct_m4_with_multiple_components():
+    # end faces with two hanging subpolygons take two region turns in
+    # clockwise slot order; turning them in the other order breaks the square
     two_component_cases = 0
     for ang in enumerate_angulations(4, 4):
         for c in (1, 2, 3, 4):
@@ -295,9 +302,31 @@ def test_induct_m4_with_multiple_components():
                     )
                     out2 = induct_R_on_labelled_angulation(la, s, i, realize_rotations=True)
                     assert out2 == out
-                    if any(n >= 2 for n in end_component_counts(ca, s, i)):
+                    if any(n >= 2 for n in _kept_end_hanging_counts(ca, s, i)):
                         two_component_cases += 1
     assert two_component_cases >= 30
+
+
+def test_induct_chains_at_large_k():
+    # seeded chains of inductions on angulations of 30..60 faces: both modes
+    # agree at every step and each step is R on the dual tree
+    rng = random.Random(4151)
+    steps = 0
+    for k, m in ((30, 3), (45, 4), (60, 5)):
+        la = labelled_tree_to_labelled_angulation(random_tree(rng, k, m))
+        tree = labelled_angulation_to_tree(la)
+        for _ in range(34):
+            i = rng.randrange(1, m)
+            snakes = find_snakes(la.base, i, i + 1)
+            s = rng.choice([x for x in snakes if len(x.faces) > 1] or snakes)
+            out = induct_R_on_labelled_angulation(la, s, i)
+            assert induct_R_on_labelled_angulation(la, s, i, realize_rotations=True) == out
+            chain = frozenset(la.label[f] for f in s.faces)
+            tree = apply_R(tree, chain, i, i + 1)
+            assert labelled_angulation_to_tree(out) == tree
+            la = out
+            steps += 1
+    assert steps >= 100
 
 
 def test_json_and_dot():
@@ -611,3 +640,32 @@ def test_primitive_rotation_does_not_split_the_polygon(monkeypatch):
         rotate_one_step(ang)
         assert len(calls) == 2
         calls.clear()
+    # realized induction turns each hanging subpolygon without re-splitting
+    # the polygon: it splits only to validate its result
+    turned = 0
+    for ang in cases:
+        for c in range(1, ang.m + 1):
+            ca = colour_from_seed(ang, (1, 2), c)
+            la = LabelledAngulation(ca, tuple((f, idx + 1) for idx, f in enumerate(ca.ang.faces)))
+            for i in range(1, ang.m):
+                for s in find_snakes(ca, i, i + 1):
+                    if not any(_kept_end_hanging_counts(ca, s, i)):
+                        continue
+                    calls.clear()
+                    induct_R_on_labelled_angulation(la, s, i, realize_rotations=True)
+                    assert len(calls) == 1
+                    turned += 1
+    assert turned >= 20
+
+
+def test_rotate_one_step_does_not_recurse_per_face():
+    # 150 faces rotate with only 100 frames to spare above the caller
+    ang = labelled_tree_to_labelled_angulation(random_tree(random.Random(150), 150, 3)).base.ang
+    want = _ref_rotate_one_step(ang)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = rotate_one_step(ang)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
