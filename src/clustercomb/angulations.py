@@ -17,7 +17,8 @@ turn of a region (a union of faces) moves every vertex of the region's
 internal diagonals and faces to its predecessor in the region's cycle; a
 diagonal rotation is the turn of its (2m-2)-gon.  rotate_one_step realizes
 the turn of the whole polygon as an explicit sequence of diagonal rotations;
-induct_R_on_angulation implements chain induction on the polygon side as a
+induct_R_on_angulation implements chain induction on the polygon side, on
+a snake (a maximal S_i-S_{i+1} chain of the dual tree, read as faces), as a
 sequence of region turns (every S_{i+1}-coloured snake diagonal's
 (2m-2)-gon, then each subpolygon hanging off a non-rotated snake end
 together with that end's face).
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import ColouredTree, _checked_object, _int_tuples, _is_int
+from .core import ColouredTree, _checked_object, _int_tuples, _is_int, maximal_chains
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
@@ -399,6 +400,18 @@ class _Dissection:
             v, off = nxt, far
         return walk
 
+    def interior(self, pos: dict[int, int]) -> dict[Diagonal, tuple[int, int]]:
+        """The diagonals inside a region whose vertices have the cyclic
+        positions pos: both ends in the region and not consecutive in its
+        cycle (so not a region side), with the positions of their ends."""
+        ln = len(pos)
+        out = {}
+        for d in self.diags:
+            pa, pb = pos.get(d[0]), pos.get(d[1])
+            if pa is not None and pb is not None and 1 < abs(pa - pb) < ln - 1:
+                out[d] = (pa, pb)
+        return out
+
 
 def _primitive_rotate(dis: _Dissection, d: Diagonal) -> Diagonal:
     """Rotate diagonal d one step anticlockwise inside the (2m-2)-gon obtained
@@ -422,11 +435,11 @@ def diagonal_rotate(ang: MAngulation, diag: Sequence[int]) -> MAngulation:
     return MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
 
 
-def _turn_map(region: Sequence[int]) -> dict[int, int]:
-    """One anticlockwise turn of a region (a union of faces, its vertices
-    listed clockwise): each vertex maps to its predecessor in the region's
-    cycle."""
-    return {v: region[p - 1] for p, v in enumerate(region)}
+def _turned(face: Face, region: Sequence[int], pos: dict[int, int]) -> Face:
+    """A face after one anticlockwise turn of a region (a union of faces, its
+    vertices listed clockwise at positions pos): each vertex moves to its
+    predecessor in the region's cycle."""
+    return tuple(sorted(region[pos[v] - 1] for v in face))
 
 
 def _rotate_region(
@@ -442,22 +455,10 @@ def _rotate_region(
     on with the region minus the moved face.  Each level's drift check (its
     internal diagonals must end as the turn of those it started with) runs
     once the deeper levels are done, deepest first."""
-
-    def internal_of(pos: dict[int, int]) -> dict[Diagonal, tuple[int, int]]:
-        """The internal diagonals of the region with vertex positions pos,
-        with the positions of their ends."""
-        ln = len(pos)
-        out = {}
-        for d in dis.diags:
-            pa, pb = pos.get(d[0]), pos.get(d[1])
-            if pa is not None and pb is not None and 1 < abs(pa - pb) < ln - 1:
-                out[d] = (pa, pb)
-        return out
-
     checks: list[tuple[dict[int, int], set[Diagonal]]] = []
     while True:
         pos = {v: idx for idx, v in enumerate(region)}
-        internal = internal_of(pos)
+        internal = dis.interior(pos)
         if not internal:
             break
         checks.append(
@@ -499,7 +500,7 @@ def _rotate_region(
         removed = set(run[: m - 2])
         region = tuple(v for v in region if v not in removed)
     for pos, expected in reversed(checks):
-        if internal_of(pos).keys() != expected:
+        if dis.interior(pos).keys() != expected:
             raise InvariantBroken(f"region rotation drifted on {tuple(pos)}")
 
 
@@ -622,41 +623,18 @@ class SnakePolygon:
 
 
 def find_snakes(cang: ColouredAngulation, i: int, j: int) -> list[SnakePolygon]:
-    """All maximal snakes for the colour pair (i, j); they partition the faces
-    and correspond to the maximal S_i-S_j chains of the dual tree."""
+    """All maximal snakes for the colour pair (i, j): the maximal S_i-S_j
+    chains of the dual tree (labelled_dual, so sorted face t is vertex t+1),
+    as faces.  They partition the faces; each runs from its smaller end face
+    and the list is ordered by first face, as maximal_chains walks them."""
     if not (1 <= i < j <= cang.m):
         raise SymbolOutOfRange(f"need 1 <= i < j <= m, got ({i},{j})")
-    links: dict[Face, list[Face]] = {f: [] for f in cang.ang.faces}
-    for d, (f1, f2) in cang.ang.diagonal_faces.items():
-        if cang.colour[d] in (i, j):
-            links[f1].append(f2)
-            links[f2].append(f1)
-    snakes = []
-    seen: set[Face] = set()
-    for f in cang.ang.faces:
-        if f in seen:
-            continue
-        comp = {f}
-        stack = [f]
-        while stack:
-            x = stack.pop()
-            for y in links[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        ends = sorted(x for x in comp if len(links[x]) <= 1)
-        path = [ends[0]]
-        prev = None
-        while True:
-            nxt = [y for y in links[path[-1]] if y != prev]
-            if not nxt:
-                break
-            prev = path[-1]
-            path.append(nxt[0])
-        snakes.append(SnakePolygon(i, j, tuple(path)))
-    snakes.sort(key=lambda s: s.faces[0])
-    return snakes
+    tree, _ = labelled_dual(cang)
+    faces = cang.ang.faces
+    return [
+        SnakePolygon(i, j, tuple(faces[v - 1] for v in c.vertices))
+        for c in maximal_chains(tree, i, j)
+    ]
 
 
 def _induct_core(
@@ -665,7 +643,7 @@ def _induct_core(
     """Shared implementation of snake induction; returns the new coloured
     angulation and the map old face -> new face.
 
-    Induction is a sequence of region turns (_turn_map): step 1 turns the
+    Induction is a sequence of region turns (_turned): step 1 turns the
     (2m-2)-gon of every S_{i+1}-coloured snake diagonal; step 2 turns, at
     each snake end M that step 1 leaves in place, each subpolygon hanging
     off M together with M's current face, in clockwise slot order from the
@@ -692,9 +670,6 @@ def _induct_core(
             raise InvariantBroken(f"snake faces {f1} and {f2} share no diagonal")
         return (common[0], common[1])
 
-    def turned(f: Face, pred: dict[int, int]) -> Face:
-        return tuple(sorted(pred[v] for v in f))
-
     diags_between = [shared_diag(faces[t], faces[t + 1]) for t in range(l - 1)]
     cols = [cang.colour[d] for d in diags_between]
     work = _Dissection(n, cang.ang.diagonals)
@@ -706,10 +681,11 @@ def _induct_core(
         if cols[t] != j:
             continue
         f1, f2 = faces[t], faces[t + 1]
-        pred = _turn_map(sorted(set(f1) | set(f2)))
+        region = sorted(set(f1) | set(f2))
+        pos = {v: p for p, v in enumerate(region)}
         snake_diag_final[t] = _primitive_rotate(work, d)
-        face_map[f1] = turned(f1, pred)
-        face_map[f2] = turned(f2, pred)
+        face_map[f1] = _turned(f1, region, pos)
+        face_map[f2] = _turned(f2, region, pos)
 
     # Step 2: at each snake end whose snake diagonal keeps its place (colour
     # S_i), turn every hanging subpolygon together with the end's face.
@@ -726,22 +702,18 @@ def _induct_core(
                 continue
             arc = {(a - 1 + t) % n + 1 for t in range((b - a) % n + 1)}
             region = tuple(sorted(arc | set(face_map[M])))
-            pred = _turn_map(region)
+            pos = {v: p for p, v in enumerate(region)}
             if realize_rotations:
                 _rotate_region(work, m, region, [])
             else:
-                inside = [
-                    d for d in work.diags
-                    if d[0] in pred and d[1] in pred
-                    and pred[d[0]] != d[1] and pred[d[1]] != d[0]
-                ]
+                inside = work.interior(pos)
                 for d in inside:
                     work.remove(d)
-                for d in inside:
-                    work.add(_norm_edge(pred[d[0]], pred[d[1]]))
+                for pa, pb in inside.values():
+                    work.add(_norm_edge(region[pa - 1], region[pb - 1]))
             for old, cur in face_map.items():
-                if all(v in pred for v in cur):
-                    face_map[old] = turned(cur, pred)
+                if all(v in pos for v in cur):
+                    face_map[old] = _turned(cur, region, pos)
 
     new_ang = MAngulation(m, cang.k, tuple(sorted(work.diags)))
     seed = snake_diag_final[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections as bij
@@ -26,7 +27,13 @@ from .angulations import (
 )
 from .core import CircularOrder, ColouredForest, ColouredTree, tree_to_dot
 from .diagrams import RnaDiagram
-from .errors import ClustercombError, MalformedJSON, ValidationError, WrongObjectType
+from .errors import (
+    ClustercombError,
+    MalformedJSON,
+    ValidationError,
+    WrongCircularOrder,
+    WrongObjectType,
+)
 from .induction import InductionStep, apply_steps, orbit
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
@@ -70,16 +77,24 @@ def _cmd_count(args) -> int:
     return status
 
 
+def _parse_order(text: str | None, k: int) -> CircularOrder | None:
+    """The --order value: None, "desc", "cycle:a,b,..." or "s1,s2,..."."""
+    if not text:
+        return None
+    if text == "desc":
+        return CircularOrder.descending(k)
+    cycle = text.startswith("cycle:")
+    try:
+        values = tuple(int(x) for x in text.removeprefix("cycle:").split(","))
+    except ValueError:
+        raise WrongCircularOrder(f"bad --order {text!r}; expected 'desc', "
+                                 "'cycle:a,b,...' or 's1,s2,...'") from None
+    return CircularOrder.from_cycle(values) if cycle else CircularOrder(values)
+
+
 def _cmd_enumerate(args) -> int:
     if args.family == "trees":
-        order = None
-        if args.order == "desc":
-            order = CircularOrder.descending(args.k)
-        elif args.order and args.order.startswith("cycle:"):
-            cyc = [int(x) for x in args.order.split(":", 1)[1].split(",")]
-            order = CircularOrder.from_cycle(cyc)
-        elif args.order:
-            order = CircularOrder(tuple(int(x) for x in args.order.split(",")))
+        order = _parse_order(args.order, args.k)
         for t in cnt.enumerate_trees(args.k, args.m, order):
             print(t.to_json())
     elif args.family == "diagrams":
@@ -170,9 +185,15 @@ def _cmd_induct(args) -> int:
     tree = ColouredTree.from_json(sys.stdin.read())
     text = args.steps
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
-    steps = [InductionStep.from_dict(d) for d in json.loads(text)]
+        try:
+            with open(text[1:]) as fh:
+                text = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise ValidationError(f"cannot read steps file {text[1:]!r}: {exc}") from None
+    raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise MalformedJSON(f"steps must be a JSON list, got {type(raw).__name__}")
+    steps = [InductionStep.from_dict(d) for d in raw]
     print(apply_steps(tree, steps).to_json())
     return 0
 
@@ -263,7 +284,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): stop quietly, with
+        # stdout on /dev/null so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ from .errors import (
     MalformedJSON,
     NotConnected,
     VertexOutOfRange,
+    WrongCircularOrder,
 )
 
 Edge = tuple[int, int, int]  # (u, v, colour) with u < v
@@ -216,6 +217,8 @@ class CircularOrder:
         """Build the permutation that is the given cycle (fixing nothing else);
         the cycle must use every vertex 1..k exactly once."""
         k = len(cycle)
+        if set(cycle) != set(range(1, k + 1)):
+            raise WrongCircularOrder(f"cycle {tuple(cycle)} does not list 1..{k} once each")
         perm = [0] * k
         for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
             perm[a - 1] = b

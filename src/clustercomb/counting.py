@@ -21,18 +21,23 @@ from typing import Iterator, Sequence
 from .angulations import MAngulation
 from .core import CircularOrder, ColouredTree, circular_order
 from .diagrams import RnaDiagram, is_connected
-from .errors import SizeLimitExceeded, VertexOutOfRange
+from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
 
 DEFAULT_MAX_WORK = 1_000_000
 
 
 def _work_limit() -> int:
     env = os.environ.get("CLUSTERCOMB_MAX_WORK")
-    return int(env) if env else DEFAULT_MAX_WORK
+    if not env:
+        return DEFAULT_MAX_WORK
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"CLUSTERCOMB_MAX_WORK must be an integer, got {env!r}") from None
 
 
-def _guard(kind: str, bound: int, limit: int | None = None) -> None:
-    limit = _work_limit() if limit is None else limit
+def _guard(kind: str, bound: int) -> None:
+    limit = _work_limit()
     if bound > limit:
         raise SizeLimitExceeded(
             f"{kind}: output bound {bound} exceeds work limit {limit} "
@@ -53,6 +58,8 @@ def fuss_catalan(k: int, d: int) -> int:
     """The k-th Fuss-Catalan number of degree d: binom(dk, k)/((d-1)k+1)."""
     if d < 1:
         raise VertexOutOfRange(f"Fuss-Catalan numbers need degree d >= 1, got {d}")
+    if k < 0:
+        raise VertexOutOfRange(f"Fuss-Catalan numbers need k >= 0, got {k}")
     if k == 0:
         return 1
     return _exact_div(math.comb(d * k, k), (d - 1) * k + 1)
@@ -63,6 +70,8 @@ def t_count(k: int, m: int) -> int:
     order (k k-1 ... 1): m/((m-2)k+2) * binom((m-1)k, k-1)."""
     if m < 1:
         raise VertexOutOfRange(f"T_(k,m) needs m >= 1, got m = {m}")
+    if k < 0:
+        raise VertexOutOfRange(f"T_(k,m) needs k >= 0, got k = {k}")
     if k == 0:
         return 1
     if m == 1:  # with one colour only k <= 2 has a tree
@@ -159,6 +168,8 @@ def enumerate_trees(
     _guard("enumerate_trees", u_count(k, m))
     if order is not None and not isinstance(order, CircularOrder):
         order = CircularOrder(tuple(order))
+    if order is not None and (order.k != k or set(order.perm) != set(range(1, k + 1))):
+        raise WrongCircularOrder(f"order {order.perm} is not a permutation of 1..{k}")
     cands = [
         (u, v, c)
         for u in range(1, k + 1)
@@ -210,6 +221,8 @@ def enumerate_diagrams(
     duplicates.  Processes slots in position order; each slot is either left
     free or matched with a later slot carrying the same base (positions equal
     mod m)."""
+    if k < 1 or m < 1:
+        raise VertexOutOfRange("need k >= 1 and m >= 1")
     _guard("enumerate_diagrams", _motzkin(k * m))
     n = k * m
 
@@ -249,47 +262,31 @@ def enumerate_diagrams(
 
 
 def enumerate_angulations(k: int, m: int) -> Iterator[MAngulation]:
-    """Yield every m-angulation of the fixed ((m-2)k+2)-gon.
+    """Yield every m-angulation of the fixed ((m-2)k+2)-gon by the
+    Fuss-Catalan first-face recursion, rejecting no candidate.
 
-    Recursion on subregions: a region is a cyclically ordered vertex tuple
-    whose wrap pair (last, first) is the anchor edge; the face containing the
-    anchor is chosen in all valid ways and the gaps recurse."""
+    A region of f faces on the vertices lo, lo+1, ..., lo+(m-2)f+1 has the
+    anchor edge [lo, lo+(m-2)f+1]; the face on it splits the other f-1 faces
+    among its m-1 other sides, p_t on side t, which spans (m-2)p_t+1 steps
+    and, when p_t > 0, is a diagonal whose arc is a region of p_t faces.
+    The compositions (p_1, ..., p_{m-1}) come in lexicographic order (stars
+    and bars), and the arcs' angulations combine with the first arc
+    outermost."""
     _guard("enumerate_angulations", s_count(k, m))
-    n = (m - 2) * k + 2
+    if m == 2:  # the 2-gon has one dissection, which is no 2-angulation
+        raise VertexOutOfRange("need m >= 3 and k >= 1")
 
-    def gap_ok(size: int) -> bool:
-        return size == 2 or (size >= m and (size - 2) % (m - 2) == 0)
+    def gen(lo: int, f: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        for bars in itertools.combinations(range(f + m - 3), m - 2):
+            arcs, a = [], lo  # the sides that are diagonals, with their p_t
+            for prev, bar in zip((-1, *bars), (*bars, f + m - 3)):
+                p = bar - prev - 1
+                b = a + (m - 2) * p + 1
+                if p:
+                    arcs.append(((a, b), p))
+                a = b
+            for pieces in itertools.product(*(gen(d[0], p) for d, p in arcs)):
+                yield (*(d for d, _ in arcs), *itertools.chain.from_iterable(pieces))
 
-    def gen(region: tuple[int, ...]) -> Iterator[frozenset]:
-        if len(region) == m:
-            yield frozenset()
-            return
-        last = len(region) - 1
-        for picks in itertools.combinations(range(1, last), m - 2):
-            idxs = (0, *picks, last)
-            gaps = []
-            ok = True
-            for a, b in zip(idxs, idxs[1:]):
-                if not gap_ok(b - a + 1):
-                    ok = False
-                    break
-                if b - a + 1 > 2:
-                    gaps.append((a, b))
-            if not ok:
-                continue
-            chords = frozenset(
-                (min(region[a], region[b]), max(region[a], region[b])) for a, b in gaps
-            )
-            sub = [list(gen(region[a : b + 1])) for a, b in gaps]
-
-            def combine(i: int, acc: frozenset) -> Iterator[frozenset]:
-                if i == len(sub):
-                    yield acc
-                    return
-                for piece in sub[i]:
-                    yield from combine(i + 1, acc | piece)
-
-            yield from combine(0, chords)
-
-    for diagset in gen(tuple(range(1, n + 1))):
-        yield MAngulation(m, k, tuple(sorted(diagset)))
+    for diagonals in gen(1, k):
+        yield MAngulation(m, k, diagonals)

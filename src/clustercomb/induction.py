@@ -18,15 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Chain, ColouredTree, Edge, _chain_path, _is_int, circular_order, maximal_chains
+from .core import (
+    Chain,
+    ColouredTree,
+    Edge,
+    _chain_path,
+    _checked_object,
+    _is_int,
+    circular_order,
+    maximal_chains,
+)
 from .counting import _guard, _work_limit, t_count
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InvariantBroken,
+    MalformedJSON,
     NotMaximalChain,
     SizeLimitExceeded,
     SymbolMismatch,
+    ValidationError,
     VertexOutOfRange,
     WrongColourSet,
 )
@@ -36,17 +47,24 @@ from .errors import (
 class InductionStep:
     kind: str  # "R" or "L"
     i: int
-    j: int
+    j: int | None  # None means i+1
     chain: tuple[int, ...]  # vertex set identifying the maximal chain
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "i": self.i, "j": self.j, "chain": list(self.chain)}
+    def __post_init__(self):
+        if self.kind not in ("R", "L"):
+            raise ValidationError(f'step kind must be "R" or "L", got {self.kind!r}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "InductionStep":
-        if not isinstance(d["chain"], list):
-            raise NotMaximalChain(f"chain {d['chain']!r} is not a list of vertices")
-        return cls(d["kind"], d["i"], d["j"], tuple(d["chain"]))
+        """A step from {"kind": "R" | "L", "i": int, "j": int or null or
+        absent (i+1), "chain": [vertex, ...]}; another shape raises
+        MalformedJSON, and a chain that is no list NotMaximalChain."""
+        d = _checked_object(d, "i")
+        if d.get("j") is not None and not _is_int(d["j"]):
+            raise MalformedJSON(f'"j" must be an integer or null, got {d["j"]!r}')
+        if not isinstance(d.get("chain"), list):
+            raise NotMaximalChain(f"chain {d.get('chain')!r} is not a list of vertices")
+        return cls(d.get("kind"), d["i"], d.get("j"), tuple(d["chain"]))
 
 
 def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
@@ -242,7 +260,7 @@ def _unwind(target, parents, l):
     return steps
 
 
-def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[ColouredTree]:
+def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
     """The induction equivalence class of a tree: BFS closure under adjacent
     R_i over all nontrivial maximal chains.  L_i adds nothing: on the finite
     set X_c of trees in which c is a nontrivial maximal S_i-S_{i+1} chain,
@@ -250,10 +268,9 @@ def orbit(tree: ColouredTree, max_size: int | None = None) -> frozenset[Coloured
     forward R-closure is the whole class.  A successor is rejected on its
     edge tuple before construction, so each member is built and validated
     once.  The class has T_{k,m} members and is refused before any step
-    when that exceeds `max_size` (default: the CLUSTERCOMB_MAX_WORK work
-    limit)."""
-    limit = max_size if max_size is not None else _work_limit()
-    _guard("orbit", t_count(tree.k, tree.m), limit)
+    when that exceeds the CLUSTERCOMB_MAX_WORK work limit."""
+    _guard("orbit", t_count(tree.k, tree.m))
+    limit = _work_limit()
     k, m = tree.k, tree.m
     seen = {tree.edges}
     members = [tree]

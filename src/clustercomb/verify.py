@@ -87,17 +87,18 @@ def _grid(ks: Iterable[int], ms: Iterable[int]) -> list[dict]:
     return [{"k": k, "m": m} for m in ms for k in ks]
 
 
-def formulas(kmax: int = 30, mmax: int = 8) -> list[Check]:
+def formulas() -> list[Check]:
     """Closed forms and counting identities, one evaluation per case:
     - closed forms vs reference tables: T and S for k <= 6, U for
       1 <= k <= 6, m = 3..6, against tables.py (criterion 1);
-    - quadratic recursion: k <= kmax, m = 3..mmax (criterion 5);
+    - quadratic recursion: k <= 30, m = 3..8 (criterion 5);
     - m-fold convolution: k <= 15, m = 3..6 (criterion 5);
     - binomial convolution identity: every (n, r, s, t) with n in 0..10,
       r and s in -5..5 and t in 1..4 (criterion 5);
     - T at m=3 is a Catalan difference, against comb(2x, x) // (x + 1):
-      k <= kmax (criterion 5);
+      k <= 30 (criterion 5);
     - U = T*(k-1)! and U rewriting: k <= 10, m = 3..6 (criterion 5)."""
+    kmax, mmax = 30, 8
 
     def tables_hold(k: int, m: int) -> bool:
         return (
@@ -171,7 +172,10 @@ def bijection_suite(k: int = 3, m: int = 3) -> list[Check]:
       families (1) and (6);
     - recursion bijections invert: vertex1 and sigma decompositions of every
       connected noncrossing diagram recombine to it, with connected
-      noncrossing sigma parts."""
+      noncrossing sigma parts.
+    The angulation maps need m >= 3, so a smaller m is refused."""
+    if m < 3:
+        raise VertexOutOfRange(f"the bijection suite needs m >= 3, got m = {m}")
     ks = range(1, k + 1)
     where = f"k<={k}, m={m}"
 
@@ -268,7 +272,10 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
       each k, its step list replayed;
     - two-colour line induction has order k: the line 1 - 2 - ... - k
       coloured alternately S_i, S_j, for every pair i < j, with k at least 6
-      (one line per length)."""
+      (one line per length).
+    With one colour there are no adjacent steps, so m < 2 is refused."""
+    if m < 2:
+        raise VertexOutOfRange(f"the induction suite needs m >= 2, got m = {m}")
     ks = range(1, k + 1)
     orbit_k = min(k, 4)
     line_k = max(k, 6)

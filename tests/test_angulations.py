@@ -22,7 +22,6 @@ from clustercomb.angulations import (
     find_snakes,
     induct_R_on_angulation,
     induct_R_on_labelled_angulation,
-    labelled_dual,
     rotate_one_step,
     shift,
     validate_angulation,
@@ -31,7 +30,6 @@ from clustercomb.bijections import (
     labelled_angulation_to_tree,
     labelled_tree_to_labelled_angulation,
 )
-from clustercomb.core import maximal_chains
 from clustercomb.counting import enumerate_angulations, s_count
 from clustercomb.errors import (
     BadDiagonalModulus,
@@ -179,20 +177,30 @@ def test_find_snakes():
     assert len(snakes) == 1 and len(snakes[0].faces) == 2
 
 
-def test_snakes_match_dual_chains():
-    # snakes correspond to the maximal chains of the labelled dual tree
-    for k in range(1, 5):
-        for ang in enumerate_angulations(k, 3):
-            for c in (1, 2, 3):
-                ca = colour_from_seed(ang, (1, 2), c)
-                tree, labels = labelled_dual(ca)
-                for i, j in ((1, 2), (1, 3), (2, 3)):
-                    snake_sets = {
-                        frozenset(labels[f] for f in s.faces)
-                        for s in find_snakes(ca, i, j)
-                    }
-                    chain_sets = {c2.vertex_set for c2 in maximal_chains(tree, i, j)}
-                    assert snake_sets == chain_sets
+def test_snakes_are_the_maximal_runs_on_the_polygon():
+    # read on the polygon alone, without the dual tree: for every colouring
+    # and every pair i < j the snakes partition the faces, consecutive faces
+    # of a snake share a diagonal coloured S_i or S_j, every such diagonal
+    # joins two consecutive faces of one snake, and each snake starts at its
+    # smaller end face, the list ordered by first face
+    for m, kmax in ((3, 4), (4, 3)):
+        for k in range(1, kmax + 1):
+            for ang in enumerate_angulations(k, m):
+                for ca in all_colourings(ang):
+                    for i, j in itertools.combinations(range(1, m + 1), 2):
+                        snakes = find_snakes(ca, i, j)
+                        assert sorted(f for s in snakes for f in s.faces) == list(ang.faces)
+                        joins = []
+                        for s in snakes:
+                            assert (s.i, s.j) == (i, j) and s.faces[0] <= s.faces[-1]
+                            for f, g in zip(s.faces, s.faces[1:]):
+                                d = tuple(sorted(set(f) & set(g)))
+                                assert set(ang.diagonal_faces[d]) == {f, g}
+                                assert ca.colour[d] in (i, j)
+                                joins.append(d)
+                        assert sorted(joins) == [d for d in ang.diagonals if ca.colour[d] in (i, j)]
+                        firsts = [s.faces[0] for s in snakes]
+                        assert firsts == sorted(firsts)
 
 
 def test_induct_identity_on_single_face_snake():

@@ -192,7 +192,7 @@ def test_verify_all_suites(capsys):
 
 
 def test_verify_all_prints_earlier_suites_before_a_later_error(monkeypatch):
-    # the angulation suite refuses m = 2 after the other suites have run;
+    # the bijection suite refuses m = 2 after the formulas suite has run;
     # with one stream for both outputs, the formulas lines come first
     import io
     import sys
@@ -203,8 +203,8 @@ def test_verify_all_prints_earlier_suites_before_a_later_error(monkeypatch):
     code = cli.main(["verify", "all", "--m", "2"])
     lines = both.getvalue().splitlines()
     assert code == 3
-    assert lines[-1] == "validation error: need m >= 3 and k >= 1"
-    assert [line.split(":")[0] for line in lines[:7]] == [
+    assert lines[-1] == "validation error: the bijection suite needs m >= 3, got m = 2"
+    assert [line.split(":")[0] for line in lines[:-1]] == [
         "ok   closed forms vs reference tables",
         "ok   quadratic recursion",
         "ok   m-fold convolution",
@@ -400,3 +400,95 @@ def test_run_suite_refuses_nonpositive_k():
     with pytest.raises(VertexOutOfRange):
         ver.run_suite("induction", k=0)
     assert ver.run_suite("induction", k=1)
+
+
+INDUCT_TREE = '{"k":3,"m":3,"edges":[[1,2,1],[2,3,2]]}'
+
+
+@pytest.mark.parametrize(
+    "steps, named",
+    [
+        ("[{}]", '"i" must be an integer'),
+        ("[1]", "expected a JSON object, got int"),
+        ('{"a":1}', "steps must be a JSON list, got dict"),
+        ('[{"kind":"R","i":"1","j":2,"chain":[1,2,3]}]', '"i" must be an integer'),
+        ('[{"kind":"R","i":1,"j":"2","chain":[1,2,3]}]', '"j" must be an integer or null'),
+        ('[{"kind":"X","i":1,"j":2,"chain":[1,2,3]}]', 'step kind must be "R" or "L"'),
+    ],
+)
+def test_induct_refuses_malformed_steps(capsys, monkeypatch, steps, named):
+    code, out, err = run(capsys, ["induct", steps], stdin=INDUCT_TREE, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and named in err
+
+
+def test_induct_refuses_an_unreadable_steps_file(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, ["induct", f"@{missing}"], stdin=INDUCT_TREE,
+                         monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error: cannot read steps file") and len(err.splitlines()) == 1
+
+
+def test_induct_step_without_j_means_i_plus_one(capsys, monkeypatch):
+    outs = []
+    for step in ('{"kind":"R","i":1,"chain":[1,2,3]}', '{"kind":"R","i":1,"j":null,"chain":[1,2,3]}'):
+        code, out, _ = run(capsys, ["induct", f"[{step}]"], stdin=INDUCT_TREE,
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        outs.append(json.loads(out)["edges"])
+    assert outs == [[[1, 3, 2], [2, 3, 1]]] * 2
+
+
+@pytest.mark.parametrize("order", ["cycle:1,5", "a,b", "1,2", "1,1,1", "cycle:1,1,2", "cycle:"])
+def test_enumerate_refuses_bad_orders(capsys, order):
+    code, out, err = run(capsys, ["enumerate", "trees", "--k", "3", "--m", "3", "--order", order])
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "trees", "--k", "3", "--m", "3"],
+        ["enumerate", "diagrams", "--k", "3", "--m", "3"],
+        ["enumerate", "angulations", "--k", "3", "--m", "3"],
+        ["orbit"],
+    ],
+)
+def test_guarded_commands_refuse_a_non_integer_work_limit(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "abc")
+    code, out, err = run(capsys, argv, stdin=INDUCT_TREE, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error: CLUSTERCOMB_MAX_WORK must be an integer")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # `| head -1`: the reader takes one line and closes the pipe while the
+    # enumeration (megabytes of output) is still writing
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clustercomb.cli", "enumerate", "trees", "--k", "6", "--m", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["k"] == 6
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+
+
+@pytest.mark.parametrize(
+    "suite, m, named",
+    [
+        ("induction", 1, "induction suite needs m >= 2"),
+        ("bijections", 1, "bijection suite needs m >= 3"),
+        ("bijections", 2, "bijection suite needs m >= 3"),
+    ],
+)
+def test_verify_refuses_an_m_its_suite_cannot_take(capsys, suite, m, named):
+    code, out, err = run(capsys, ["verify", suite, "--m", str(m)])
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and named in err

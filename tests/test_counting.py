@@ -15,7 +15,7 @@ from clustercomb.counting import (
     t_count,
     u_count,
 )
-from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange
+from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange, WrongCircularOrder
 
 
 def test_fuss_catalan_values():
@@ -96,6 +96,18 @@ def test_enumerate_angulations_counts():
     assert sum(1 for _ in enumerate_angulations(3, 4)) == 12
     for k in range(1, 6):
         assert sum(1 for _ in enumerate_angulations(k, 3)) == s_count(k, 3)
+    # pairwise distinct, m = 3..6
+    for m, kmax in ((3, 6), (4, 4), (5, 4), (6, 3)):
+        for k in range(1, kmax + 1):
+            angs = list(enumerate_angulations(k, m))
+            assert len(set(angs)) == len(angs) == s_count(k, m)
+
+
+def test_enumerate_angulations_refuses_two_gons_at_once():
+    # no 2-angulation exists: refused on the first next(), at any k, without
+    # descending k levels into the polygon first
+    with pytest.raises(VertexOutOfRange, match="need m >= 3"):
+        next(enumerate_angulations(2000, 2))
 
 
 def test_work_guard_two_colours():
@@ -134,3 +146,39 @@ def test_zero_vertices_refused():
         list(enumerate_trees(0, 2))
     with pytest.raises(VertexOutOfRange):
         u_count(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: next(enumerate_trees(3, 3, (1, 2))),
+        lambda: next(enumerate_trees(3, 3, (1, 1, 1))),
+        lambda: next(enumerate_trees(3, 3, (2, 3, 1, 4))),
+        lambda: CircularOrder.from_cycle((1, 5)),
+        lambda: CircularOrder.from_cycle((1, 1, 2)),
+    ],
+    ids=["short", "repeated", "long", "cycle-out-of-range", "cycle-repeated"],
+)
+def test_orders_that_are_no_permutation_are_refused(call):
+    # refused before any tree is built: such an order would match no tree,
+    # and such a cycle indexes outside 1..k or builds no permutation
+    with pytest.raises(WrongCircularOrder):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fuss_catalan(-1, 2),
+        lambda: t_count(-2, 3),
+        lambda: s_count(-1, 4),
+        lambda: next(enumerate_angulations(-1, 3)),
+        lambda: next(enumerate_diagrams(-2, 3)),
+        lambda: next(enumerate_diagrams(2, -2)),
+    ],
+    ids=["fuss", "T", "S", "angulations", "diagrams-k", "diagrams-m"],
+)
+def test_negative_sizes_refused(call):
+    # a named error, not a ValueError from math.comb or an IndexError
+    with pytest.raises(VertexOutOfRange):
+        call()

@@ -19,6 +19,7 @@ from clustercomb.errors import (
     NotMaximalChain,
     SizeLimitExceeded,
     SymbolMismatch,
+    ValidationError,
     VertexOutOfRange,
     WrongColourSet,
 )
@@ -232,9 +233,9 @@ def test_orbit_refused_before_any_step(monkeypatch):
     monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "100")
     with pytest.raises(SizeLimitExceeded):
         orbit(t)  # T_{6,3} = 297 > 100
-    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK")
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "296")
     with pytest.raises(SizeLimitExceeded):
-        orbit(t, max_size=296)
+        orbit(t)
     assert calls == []
 
 
@@ -320,3 +321,9 @@ def test_chain_order_even_k_shape_alternation():
     assert cur == t4
     assert shapes[0] == shapes[2] and shapes[1] == shapes[3]
     assert shapes[0] != shapes[1]
+
+
+def test_induction_step_refuses_an_unknown_kind():
+    # an unknown kind must not run as L
+    with pytest.raises(ValidationError, match='step kind must be "R" or "L"'):
+        InductionStep("X", 1, 2, (1, 2, 3))
