@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import ColouredTree, _checked_object, _int_tuples, _is_int, maximal_chains
+from .core import ColouredTree, _checked_object, _int_tuples, _is_int, _json_loads, maximal_chains
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
@@ -174,7 +174,7 @@ class MAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "MAngulation":
-        return validate_angulation(json.loads(text))
+        return validate_angulation(_json_loads(text))
 
 
 def validate_angulation(raw: dict) -> MAngulation:
@@ -264,7 +264,7 @@ class ColouredAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredAngulation":
-        d = json.loads(text)
+        d = _json_loads(text)
         return cls(validate_angulation(d), _keyed(d, "colours"))
 
 
@@ -283,7 +283,7 @@ class RootedAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "RootedAngulation":
-        d = json.loads(text)
+        d = _json_loads(text)
         base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
         return cls(base, _parse_key(d.get("root"), "root"))
 
@@ -312,7 +312,7 @@ class LabelledAngulation:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelledAngulation":
-        d = json.loads(text)
+        d = _json_loads(text)
         base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
         return cls(base, _keyed(d, "labels"))
 

@@ -36,6 +36,7 @@ from .core import (
     ColouredTree,
     UnlabelledTree,
     _checked_object,
+    _json_loads,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -285,7 +286,7 @@ class PlaneTree:
     def from_json(cls, text: str) -> "PlaneTree":
         """Parse {"m": int, "plane": node}, where a node is null (a leaf) or
         the list of its children; another shape raises MalformedJSON."""
-        d = _checked_object(json.loads(text), "m")
+        d = _checked_object(_json_loads(text), "m")
 
         def conv(node):
             if node is None:

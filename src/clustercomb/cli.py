@@ -25,7 +25,7 @@ from .angulations import (
     RootedAngulation,
     dual_tree_dot,
 )
-from .core import CircularOrder, ColouredForest, ColouredTree, tree_to_dot
+from .core import CircularOrder, ColouredForest, ColouredTree, _json_loads, tree_to_dot
 from .diagrams import RnaDiagram
 from .errors import (
     ClustercombError,
@@ -107,7 +107,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_object(text: str):
-    d = json.loads(text)
+    d = _json_loads(text)
     if not isinstance(d, dict):
         raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
     if "edges" in d:
@@ -190,7 +190,7 @@ def _cmd_induct(args) -> int:
                 text = fh.read()
         except (OSError, UnicodeError) as exc:
             raise ValidationError(f"cannot read steps file {text[1:]!r}: {exc}") from None
-    raw = json.loads(text)
+    raw = _json_loads(text)
     if not isinstance(raw, list):
         raise MalformedJSON(f"steps must be a JSON list, got {type(raw).__name__}")
     steps = [InductionStep.from_dict(d) for d in raw]

@@ -44,6 +44,15 @@ def _checked_object(d, *int_keys: str) -> dict:
     return d
 
 
+def _json_loads(text: str):
+    """json.loads, refusing a document nested too deeply to parse with
+    MalformedJSON instead of letting RecursionError escape."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedJSON("JSON document is nested too deeply") from None
+
+
 def _int_tuples(d: dict, key: str, width: int, form: str) -> tuple[tuple[int, ...], ...]:
     """d[key] as a tuple of integer tuples, when it is a list of `width`-long
     integer lists; otherwise MalformedJSON naming the expected `form`."""
@@ -56,13 +65,20 @@ def _int_tuples(d: dict, key: str, width: int, form: str) -> tuple[tuple[int, ..
 
 
 def _normalise_edges(raw_edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+    """The edges as sorted (u, v, colour) triples with u <= v.  An edge that
+    is not three integers (a bool is none) raises MalformedJSON, as it does
+    at the JSON boundary, rather than being truncated to one."""
     out = []
     for e in raw_edges:
-        u, v, c = int(e[0]), int(e[1]), int(e[2])
-        if u > v:
-            u, v = v, u
-        out.append((u, v, c))
-    return tuple(sorted(out))
+        try:
+            u, v, c = e
+        except (TypeError, ValueError):
+            raise MalformedJSON(f"edge {e!r} is not a (u, v, colour) triple") from None
+        if not (type(u) is type(v) is type(c) is int):
+            raise MalformedJSON(f"edge {e!r} is not a triple of integers")
+        out.append((u, v, c) if u < v else (v, u, c))
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,7 @@ class ColouredForest:
         """Parse {"k": int, "m": int, "edges": [[u, v, colour], ...]} and
         validate it as `cls`; a document of another shape raises
         MalformedJSON."""
-        d = _checked_object(json.loads(text), "k", "m")
+        d = _checked_object(_json_loads(text), "k", "m")
         return cls(d["k"], d["m"], _int_tuples(d, "edges", 3, "[u, v, colour]"))
 
 
@@ -183,11 +199,11 @@ class ColouredTree(ColouredForest):
 
 def validate_forest(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredForest:
     """Validate raw (u, v, colour) triples into a ColouredForest."""
-    return ColouredForest(k, m, _normalise_edges(raw_edges))
+    return ColouredForest(k, m, raw_edges)
 
 
 def validate_tree(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredTree:
-    return ColouredTree(k, m, _normalise_edges(raw_edges))
+    return ColouredTree(k, m, raw_edges)
 
 
 @dataclass(frozen=True)

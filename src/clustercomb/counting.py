@@ -1,5 +1,7 @@
 """Closed-form counts, the identities connecting them, and exhaustive
-generators used as independent oracles.
+generators: the independent oracles, and the generator of one
+circular-order class from the rooted tree shapes, which `induction.orbit`
+uses.
 
 Everything here is exact integer (or exact rational) arithmetic; any
 non-exact division in a closed form is treated as a bug and raises.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree, circular_order
+from .core import CircularOrder, ColouredTree
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
 
@@ -158,18 +160,120 @@ def _motzkin(n: int) -> int:
     return mot[n]
 
 
+def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
+    """Yield each labelled m-edge-coloured tree of circular order `order`
+    once, with no R/L step and no dedupe set; nothing when `order` is not a
+    k-cycle.
+
+    A rooted shape is an unlabelled tree with a root, in which the root has
+    at most one child per colour and a vertex entered by colour c has at
+    most one child per other colour.  Sibling edges carry distinct colours,
+    so a shape has no symmetry, and there are T_{k,m} shapes on k vertices:
+    the root's m planted subtrees, each counted by the Fuss-Catalan S, make
+    T the m-fold convolution that `check_convolution` checks.
+
+    Each shape is labelled from its own circular order tau: the root gets
+    a = 1 and tau^i(root) gets sigma^i(a).  Relabelling commutes with the
+    circular order, so the labelled tree has order sigma.  Distinct shapes
+    give distinct trees, since the tree rooted at a is its shape again, so
+    the T_{k,m} trees of order sigma each come out exactly once.
+
+    The shapes are walked depth first in preorder, without recursion:
+    vertex t takes the last open (parent, colour) slot and then opens a set
+    of child colours, as many as fit with the open slots into k vertices
+    and at least one while the tree is not yet whole.  With m >= 2 every
+    such choice completes a shape, so the walk takes at most k steps per
+    tree.  The open slots form a linked stack, so each vertex with sets
+    left keeps its stack at no cost, and going back to it resets the rows
+    of the vertices placed after it."""
+    k = order.k
+    cycle = order.cycle_of(1)
+    if len(cycle) != k:
+        return
+    colours = range(1, m + 1)
+
+    @functools.cache
+    def options(c: int, least: int, room: int) -> list[tuple[int, ...]]:
+        """The child colour sets, each greatest colour first, of a vertex
+        entered by colour c (0 at the root) that opens least..room slots."""
+        free = [x for x in colours if x != c]
+        sizes = range(least, min(room, len(free)) + 1)
+        return [x[::-1] for n in sizes for x in itertools.combinations(free, n)]
+
+    inv = [list(range(k + 1)) for _ in range(m + 1)]  # inv[c]: S_c on the shape
+    rows = inv[1:]
+    par, col = [0] * (k + 1), [0] * (k + 1)  # parent and parent edge colour
+    # the open (parent, colour) slots as nested (parent, colour, rest)
+    # triples, the root's slot (0, 0) at first, and how many there are
+    slots, n = (0, 0, ()), 1
+    # (vertex, its sets, index of its next set, open slots and count before it)
+    branches: list[tuple] = []
+    t = 0
+    while True:
+        while slots:  # place vertex t + 1 in the last open slot, with its first set
+            t += 1
+            p, c, slots = slots
+            n -= 1
+            par[t], col[t] = p, c
+            inv[c][p], inv[c][t] = t, p
+            sets = options(c, 0 if n or t == k else 1, k - t - n)
+            if not sets:  # only with one colour: no tree completes here
+                break
+            if len(sets) > 1:
+                branches.append((t, sets, 1, slots, n))
+            for c in sets[0]:
+                slots = (t, c, slots)
+            n += len(sets[0])
+        else:
+            tau = inv[1]  # no slot is open, so t == k: the shape is whole
+            for c in colours[1:]:
+                tau = list(map(inv[c].__getitem__, tau))
+            label = [0] * (k + 1)
+            v = 1
+            for a in cycle:
+                label[v] = a
+                v = tau[v]
+            yield ColouredTree(k, m, list(zip(map(label.__getitem__, par[2:]), label[2:], col[2:])))
+        if not branches:
+            return
+        # back to the last vertex u with a set left.  Its later vertices get
+        # their rows reset; the slots they filled at vertices below u are
+        # open again, so the next shape overwrites those entries, and only
+        # the slots of u's previous set are closed here.
+        u, sets, i, slots, n = branches.pop()
+        tail = range(u + 1, t + 1)
+        for row in rows:
+            row[u + 1:t + 1] = tail
+        for c in sets[i - 1]:
+            inv[c][u] = u
+        if i + 1 < len(sets):
+            branches.append((u, sets, i + 1, slots, n))
+        for c in sets[i]:
+            slots = (u, c, slots)
+        t, n = u, n + len(sets[i])
+
+
 def enumerate_trees(
     k: int, m: int, order: CircularOrder | Sequence[int] | None = None
 ) -> Iterator[ColouredTree]:
-    """Yield every labelled m-edge-coloured tree on k vertices, optionally
-    filtered by circular order.  Backtracks over candidate edges in the
-    canonical (min endpoint, max endpoint, colour) order, keeping the partial
-    edge set a properly coloured forest throughout."""
-    _guard("enumerate_trees", u_count(k, m))
-    if order is not None and not isinstance(order, CircularOrder):
-        order = CircularOrder(tuple(order))
-    if order is not None and (order.k != k or set(order.perm) != set(range(1, k + 1))):
-        raise WrongCircularOrder(f"order {order.perm} is not a permutation of 1..{k}")
+    """Yield every labelled m-edge-coloured tree on k vertices, or with an
+    order every tree of that circular order, sorted by edges either way.
+    Without an order, backtracks over candidate edges in the canonical (min
+    endpoint, max endpoint, colour) order, keeping the partial edge set a
+    properly coloured forest throughout; the whole set is guarded by U.
+    With an order, sorts the class `_order_class` builds, guarded by T."""
+    if order is None:
+        _guard("enumerate_trees", u_count(k, m))
+    else:
+        if k < 1:
+            raise VertexOutOfRange(f"enumerate_trees needs k >= 1, got k = {k}")
+        _guard("enumerate_trees", t_count(k, m))
+        if not isinstance(order, CircularOrder):
+            order = CircularOrder(tuple(order))
+        if order.k != k or set(order.perm) != set(range(1, k + 1)):
+            raise WrongCircularOrder(f"order {order.perm} is not a permutation of 1..{k}")
+        yield from sorted(_order_class(m, order), key=lambda t: t.edges)
+        return
     cands = [
         (u, v, c)
         for u in range(1, k + 1)
@@ -181,9 +285,7 @@ def enumerate_trees(
 
     def rec(start: int, chosen: list, parent: list) -> Iterator[ColouredTree]:
         if len(chosen) == need:
-            tree = ColouredTree(k, m, tuple(chosen))
-            if order is None or circular_order(tree) == order:
-                yield tree
+            yield ColouredTree(k, m, tuple(chosen))
             return
         remaining = need - len(chosen)
         for idx in range(start, len(cands) - remaining + 1):

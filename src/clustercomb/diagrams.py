@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import _checked_object, _is_int
+from .core import _checked_object, _is_int, _json_loads
 from .errors import (
     MalformedJSON,
     SelfArc,
@@ -85,7 +85,7 @@ class RnaDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "RnaDiagram":
-        return validate_diagram(json.loads(text))
+        return validate_diagram(_json_loads(text))
 
 
 def validate_diagram(raw: dict) -> RnaDiagram:

@@ -11,7 +11,9 @@ inductions that preserve the circular order in general.
 
 Induction equivalence is the closure under adjacent R_i/L_i steps; the
 equivalence class of a tree is exactly the set of trees sharing its circular
-order, so orbits have size T_{k,m}.
+order, so orbits have size T_{k,m}.  `orbit` builds that class from the
+rooted tree shapes rather than searching it by steps; the verify suite
+checks it against the R_i closure.
 """
 from __future__ import annotations
 
@@ -28,14 +30,13 @@ from .core import (
     circular_order,
     maximal_chains,
 )
-from .counting import _guard, _work_limit, t_count
+from .counting import _guard, _order_class, t_count
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InvariantBroken,
     MalformedJSON,
     NotMaximalChain,
-    SizeLimitExceeded,
     SymbolMismatch,
     ValidationError,
     VertexOutOfRange,
@@ -190,7 +191,11 @@ def normal_form(tree: ColouredTree) -> tuple[ColouredTree, list[InductionStep]]:
     """An induction-equivalent tree coloured only by S_1 and S_m, together
     with the adjacent R/L steps reaching it.  Stage l = 2..m-1 eliminates
     colour S_l by a breadth-first search over R_{1,l} and L_{l,l+1} moves
-    (the R_{1,l} moves recorded through their adjacent decompositions)."""
+    (the R_{1,l} moves recorded through their adjacent decompositions).
+    The searches stay inside the tree's class of T_{k,m} trees, so it is
+    refused before any step when that exceeds the CLUSTERCOMB_MAX_WORK work
+    limit."""
+    _guard("normal_form", t_count(tree.k, tree.m))
     m = tree.m
     steps: list[InductionStep] = []
     cur = tree
@@ -261,36 +266,14 @@ def _unwind(target, parents, l):
 
 
 def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
-    """The induction equivalence class of a tree: BFS closure under adjacent
-    R_i over all nontrivial maximal chains.  L_i adds nothing: on the finite
-    set X_c of trees in which c is a nontrivial maximal S_i-S_{i+1} chain,
-    R_i on c is a permutation (L_i inverts it), so L_i = R_i^{p-1} and the
-    forward R-closure is the whole class.  A successor is rejected on its
-    edge tuple before construction, so each member is built and validated
-    once.  The class has T_{k,m} members and is refused before any step
-    when that exceeds the CLUSTERCOMB_MAX_WORK work limit."""
+    """The induction equivalence class of a tree, which is the set of trees
+    sharing its circular order: built shape by shape by
+    `counting._order_class`, with no R/L step taken.  The class has T_{k,m}
+    members and is refused before any is built when that exceeds the
+    CLUSTERCOMB_MAX_WORK work limit.  The verify suite's induction check
+    compares it with the R_i closure of the tree."""
     _guard("orbit", t_count(tree.k, tree.m))
-    limit = _work_limit()
-    k, m = tree.k, tree.m
-    seen = {tree.edges}
-    members = [tree]
-    frontier = [tree]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for i in range(1, m):
-                for c in maximal_chains(t, i, i + 1):
-                    if len(c.vertices) == 1:
-                        continue
-                    edges = _successor_edges(t, c.vertices, i, i + 1, swap_colour=i + 1)
-                    if edges not in seen:
-                        seen.add(edges)
-                        if len(seen) > limit:
-                            raise SizeLimitExceeded(f"orbit exceeded {limit} trees")
-                        nxt.append(ColouredTree(k, m, edges))
-        members.extend(nxt)
-        frontier = nxt
-    return frozenset(members)
+    return frozenset(_order_class(tree.m, circular_order(tree)))
 
 
 def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:

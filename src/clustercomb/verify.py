@@ -265,9 +265,10 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
       tree (whose circular order is a k-cycle), every i < m and every
       maximal S_i-S_{i+1} chain, edgeless ones included, R and L keep the
       circular order and L undoes R;
-    - orbits are the circular-order classes of size T: the orbit of the
-      first tree of each class is the class the enumerator's order filter
-      gives, of size T, for k <= 4 (orbits grow as T);
+    - orbits are the circular-order classes of size T: for the first tree
+      of each class, orbit() (built from shapes), the closure of the tree
+      under R_i steps (searched) and the class grouped from the unfiltered
+      enumerator are one set of size T, for k <= 4 (orbits grow as T);
     - normal form lands in {S_1, S_m} preserving sigma: the first tree at
       each k, its step list replayed;
     - two-colour line induction has order k: the line 1 - 2 - ... - k
@@ -302,18 +303,38 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
             and ind.apply_L(r, chain, i) == tree
         )
 
+    classes: dict[tuple[int, ...], list[ColouredTree]] = {}  # by circular order
+
     def class_firsts():
         for kk in range(1, orbit_k + 1):
-            firsts: dict[tuple, ColouredTree] = {}
             for t in cnt.enumerate_trees(kk, m):
-                firsts.setdefault(circular_order(t).perm, t)
-            for t in firsts.values():
-                yield {"tree": t}
+                classes.setdefault(circular_order(t).perm, []).append(t)
+        for cls in classes.values():
+            yield {"tree": cls[0]}
+
+    def r_closure(tree: ColouredTree) -> frozenset[ColouredTree]:
+        """Breadth-first closure under R_i on every maximal S_i-S_{i+1}
+        chain (an edgeless one changes nothing).  L_i adds nothing: on the
+        finite set of trees in which a chain c is a nontrivial maximal
+        chain, R_i on c is a permutation that L_i inverts, so L_i is a power
+        of R_i."""
+        seen, frontier = {tree}, [tree]
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for i in range(1, m):
+                    for c in maximal_chains(t, i, i + 1):
+                        t2 = ind.apply_R(t, c, i)
+                        if t2 not in seen:
+                            seen.add(t2)
+                            nxt.append(t2)
+            frontier = nxt
+        return frozenset(seen)
 
     def orbit_is_class(tree: ColouredTree) -> bool:
         orb = ind.orbit(tree)
-        cls = frozenset(cnt.enumerate_trees(tree.k, m, circular_order(tree)))
-        return orb == cls and len(orb) == cnt.t_count(tree.k, m)
+        cls = frozenset(classes[circular_order(tree).perm])
+        return orb == r_closure(tree) == cls and len(orb) == cnt.t_count(tree.k, m)
 
     def normal_form_holds(tree: ColouredTree) -> bool:
         nf, path = ind.normal_form(tree)

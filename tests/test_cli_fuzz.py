@@ -17,6 +17,8 @@ import json
 import random
 import sys
 
+import pytest
+
 from clustercomb import cli
 
 SEED = 20260
@@ -180,3 +182,24 @@ def test_cli_fuzz(monkeypatch):
             bad.append((argv, stdin, limit, code, err.getvalue()[-200:]))
     monkeypatch.undo()
     assert not bad, "\n".join(map(repr, bad[:20])) + f"\n{len(bad)} of {len(all_cases)} cases failed"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [(["orbit"], DEEP), (["map", "tree->angulation"], DEEP), (["induct", DEEP], TREE)],
+    ids=["orbit", "map", "induct-steps"],
+)
+def test_deep_json_is_malformed(monkeypatch, argv, stdin):
+    # nested beyond what json.loads can parse: a validation error (exit 3),
+    # not a RecursionError traceback
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = cli.main(argv)
+    monkeypatch.undo()
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue() == "validation error: JSON document is nested too deeply\n"

@@ -24,6 +24,7 @@ from clustercomb.errors import (
     CycleDetected,
     DuplicateColourAtVertex,
     DuplicateEdge,
+    MalformedJSON,
     NotConnected,
     VertexOutOfRange,
 )
@@ -87,6 +88,20 @@ MALFORMED = [
      DuplicateColourAtVertex, "vertex 3 has two edges coloured S_2"),
     ("cycle before an out-of-range vertex", 5, 3, [(1, 2, 1), (2, 3, 2), (1, 3, 3), (4, 9, 1)],
      CycleDetected, "edge (2,3) closes a cycle"),
+    # not integers: refused as at the JSON boundary, not truncated by int()
+    ("float vertex", 2, 3, [(1, 2.7, 1)], MalformedJSON,
+     "edge (1, 2.7, 1) is not a triple of integers"),
+    ("bool vertex", 2, 3, [(True, 2, 1)], MalformedJSON,
+     "edge (True, 2, 1) is not a triple of integers"),
+    ("float colour", 2, 3, [[1, 2, 1.0]], MalformedJSON,
+     "edge [1, 2, 1.0] is not a triple of integers"),
+    ("string vertex", 2, 3, [("1", 2, 1)], MalformedJSON,
+     "edge ('1', 2, 1) is not a triple of integers"),
+    ("edge of two values", 2, 3, [(1, 2)], MalformedJSON,
+     "edge (1, 2) is not a (u, v, colour) triple"),
+    ("edge of four values", 2, 3, [(1, 2, 1, 5)], MalformedJSON,
+     "edge (1, 2, 1, 5) is not a (u, v, colour) triple"),
+    ("edge that is a number", 2, 3, [7], MalformedJSON, "edge 7 is not a (u, v, colour) triple"),
 ]
 
 

@@ -130,6 +130,24 @@ def test_work_guard(monkeypatch):
         list(enumerate_trees(12, 6))
 
 
+def test_ordered_enumeration_is_guarded_by_t(monkeypatch):
+    # one circular-order class has T = 297 trees of the U = 35 640 at (6, 3)
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "297")
+    trees = list(enumerate_trees(6, 3, CircularOrder.descending(6)))
+    assert len(trees) == t_count(6, 3) == 297
+    assert [t.edges for t in trees] == sorted(t.edges for t in trees)
+    with pytest.raises(SizeLimitExceeded):
+        next(enumerate_trees(6, 3))
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "296")
+    with pytest.raises(SizeLimitExceeded):
+        next(enumerate_trees(6, 3, CircularOrder.descending(6)))
+
+
+def test_order_that_is_no_k_cycle_yields_nothing():
+    assert list(enumerate_trees(4, 3, (2, 1, 4, 3))) == []
+    assert list(enumerate_trees(3, 3, (1, 2, 3))) == []
+
+
 def test_one_colour_counts():
     # with one colour only k <= 2 has a tree, and it has order (k ... 1)
     for k in range(1, 6):
@@ -144,6 +162,8 @@ def test_one_colour_counts():
 def test_zero_vertices_refused():
     with pytest.raises(VertexOutOfRange):
         list(enumerate_trees(0, 2))
+    with pytest.raises(VertexOutOfRange):
+        list(enumerate_trees(0, 2, ()))
     with pytest.raises(VertexOutOfRange):
         u_count(0, 3)
 

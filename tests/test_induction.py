@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clustercomb import induction
@@ -35,6 +37,7 @@ from clustercomb.induction import (
     orbit,
     sigma_invariance_witness,
 )
+from test_core import random_tree
 
 
 def _apply_reference(tree, chain, i, j, swap_colour):
@@ -180,6 +183,17 @@ def test_normal_form_exhaustive_k4_m3():
             assert all(s.j == s.i + 1 for s in steps)
 
 
+def test_normal_form_refused_before_any_step(monkeypatch):
+    # T_{14,3} = 7 020 405 exceeds the default work limit; the search at k = 14
+    # would take over a minute before finding the S_1/S_3 tree
+    t = random_tree(random.Random(14), 14, 3)
+    calls = []
+    monkeypatch.setattr(induction, "_eliminate_colour", lambda *a: calls.append(a))
+    with pytest.raises(SizeLimitExceeded, match="7020405"):
+        normal_form(t)
+    assert calls == []
+
+
 def test_normal_form_m4():
     for t in list(enumerate_trees(4, 4))[::37]:
         nf, steps = normal_form(t)
@@ -212,6 +226,7 @@ def test_orbit_equals_sigma_class():
 
 @pytest.mark.parametrize("k,m", [(1, 3), (4, 4), (5, 3), (3, 5)])
 def test_orbit_validates_each_new_tree_once(monkeypatch, k, m):
+    # every member is built once, the input tree's equal included
     tree = next(enumerate_trees(k, m))
     validate = ColouredForest.__post_init__
     calls = []
@@ -223,13 +238,13 @@ def test_orbit_validates_each_new_tree_once(monkeypatch, k, m):
     monkeypatch.setattr(ColouredForest, "__post_init__", counting)
     orb = orbit(tree)
     assert len(orb) == t_count(k, m)
-    assert len(calls) == t_count(k, m) - 1
+    assert len(calls) == t_count(k, m)
 
 
 def test_orbit_refused_before_any_step(monkeypatch):
     t = next(enumerate_trees(6, 3, CircularOrder.descending(6)))
     calls = []
-    monkeypatch.setattr(induction, "_successor_edges", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(induction, "_order_class", lambda *a, **kw: calls.append(a) or ())
     monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "100")
     with pytest.raises(SizeLimitExceeded):
         orbit(t)  # T_{6,3} = 297 > 100
@@ -237,6 +252,31 @@ def test_orbit_refused_before_any_step(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         orbit(t)
     assert calls == []
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "297")
+    orbit(t)
+    assert len(calls) == 1  # the spy sees the calls that pass the guard
+
+
+@pytest.mark.parametrize(
+    "edges,k,m",
+    [([], 1, 1), ([(1, 2, 1)], 2, 1)],
+    ids=["one-vertex", "one-edge"],
+)
+def test_orbit_with_one_colour(edges, k, m):
+    # T = 1: the tree is its own class (k = 1 at m = 3 is in test_orbit_sizes)
+    t = validate_tree(edges, k, m)
+    assert orbit(t) == frozenset([t])
+
+
+def test_orbit_of_a_long_two_colour_path():
+    # at m = 2 a class has T = k members, so k in the thousands passes the
+    # guard; the shapes are walked without recursion
+    k = 1500
+    path = validate_tree([(v, v + 1, 1 if v % 2 else 2) for v in range(1, k)], k, 2)
+    orb = orbit(path)
+    assert len(orb) == t_count(k, 2) == k and path in orb
+    sig = circular_order(path)
+    assert all(circular_order(t) == sig for t in orb)
 
 
 def test_equivalent():
