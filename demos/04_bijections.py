@@ -43,5 +43,5 @@ print("  family 1 (diagram):     ", family_chain(member, 2, 1).arcs)
 print("  family 3 (rooted tree): ", family_chain(member, 2, 3).tree.edges)
 print("  family 4 (angulation):  ", family_chain(member, 2, 4).diagonals)
 print("  family 5 (rooted tree): ", family_chain(member, 2, 5).tree.edges)
-print("  family 6 (plane tree):  ", family_chain(member, 2, 6).root)
+print("  family 6 (plane tree):  ", family_chain(member, 2, 6).word)
 print("  back from 6 to 2:       ", family_chain(family_chain(member, 2, 6), 6, 2).edges)

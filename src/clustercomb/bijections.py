@@ -36,6 +36,7 @@ from .core import (
     ColouredTree,
     UnlabelledTree,
     _checked_object,
+    _is_int,
     _json_loads,
     canonical_rooted,
     canonical_unlabelled,
@@ -257,47 +258,47 @@ def labelled_angulation_to_tree(lang: LabelledAngulation) -> ColouredTree:
 
 # -- rooted complete plane trees -------------------------------------------------------
 
-PlaneNode = tuple  # children tuple of length m-1; a leaf is None
-
-
 @dataclass(frozen=True)
 class PlaneTree:
-    """A rooted complete (m-1)-ary plane tree: every internal node carries an
-    ordered tuple of m-1 children, each an internal node or a leaf (None)."""
+    """A rooted complete (m-1)-ary plane tree as its Łukasiewicz word: the
+    node arities in preorder, m-1 for an internal node and 0 for a leaf.
+
+    A word is one iff it starts with m-1, every entry is 0 or m-1, and the
+    count 1 + sum(a - 1) of subtrees still to read first reaches 0 at its
+    last entry. At m = 1 every node is internal, so the only member is
+    (0,). Construction checks this and raises NotInFamily(6) otherwise."""
 
     m: int
-    root: PlaneNode
+    word: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "word", tuple(self.word))
+        m, word = self.m, self.word
+        ok = _is_int(m) and m >= 1 and word[:1] == (m - 1,)
+        need = 1  # subtrees still to read
+        for a in word if ok else ():
+            if need == 0 or a not in (0, m - 1):
+                ok = False
+                break
+            need += a - 1
+        if not ok or need != 0:
+            raise NotInFamily(6, "not a complete (m-1)-ary plane tree")
 
     def internal_count(self) -> int:
-        def count(node) -> int:
-            if node is None:
-                return 0
-            return 1 + sum(count(ch) for ch in node)
-
-        return count(self.root)
+        return self.word.count(self.m - 1)
 
     def to_json(self) -> str:
-        def conv(node):
-            return None if node is None else [conv(ch) for ch in node]
-
-        return json.dumps({"m": self.m, "plane": conv(self.root)}, separators=(",", ":"))
+        return json.dumps({"m": self.m, "word": list(self.word)}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneTree":
-        """Parse {"m": int, "plane": node}, where a node is null (a leaf) or
-        the list of its children; another shape raises MalformedJSON."""
+        """Parse {"m": int, "word": [int, ...]}; another shape raises
+        MalformedJSON."""
         d = _checked_object(_json_loads(text), "m")
-
-        def conv(node):
-            if node is None:
-                return None
-            if not isinstance(node, list):
-                raise MalformedJSON('"plane" must be null or a list of child nodes')
-            return tuple(conv(ch) for ch in node)
-
-        if "plane" not in d:
-            raise MalformedJSON('"plane" is missing')
-        return cls(d["m"], conv(d["plane"]))
+        word = d.get("word")
+        if not isinstance(word, list) or not all(map(_is_int, word)):
+            raise MalformedJSON(f'"word" must be a list of integers, got {word!r}')
+        return cls(d["m"], word)
 
 
 # -- the six-family chain ---------------------------------------------------------------
@@ -329,16 +330,6 @@ def _family3_check(x: RootedTree) -> None:
 def _family5_check(x: RootedTree) -> None:
     if 1 in x.root_edges():
         raise NotInFamily(5, "root has an S_1 edge")
-
-
-def _family6_check(x: PlaneTree) -> None:
-    def ok(node) -> bool:
-        if node is None:
-            return True
-        return len(node) == x.m - 1 and all(ok(ch) for ch in node)
-
-    if not ok(x.root) or x.root is None:
-        raise NotInFamily(6, "not a complete (m-1)-ary plane tree")
 
 
 def family1_to_2(x: RnaDiagram) -> ColouredTree:
@@ -422,40 +413,40 @@ def family5_to_3(x: RootedTree) -> RootedTree:
 
 def family5_to_6(x: RootedTree) -> PlaneTree:
     """Complete the tree, order each vertex's children clockwise from its
-    parental edge colour, and drop the colours."""
+    parental edge colour, and drop the colours: a preorder walk whose
+    stack holds (vertex, parental colour), vertex 0 being a leaf."""
     _family5_check(x)
-    t = x.tree
-
-    def node(v: int, parental: int, parent: int) -> PlaneNode:
-        children = []
-        for off in range(1, t.m):
-            col = (parental - 1 + off) % t.m + 1
-            w = t.adjacency[v].get(col)
-            children.append(None if w is None or w == parent else node(w, col, v))
-        return tuple(children)
-
-    return PlaneTree(t.m, node(x.root, 1, 0))
+    nbr, m = x.tree.nbr, x.m
+    word = []
+    stack = [(x.root, 1)]
+    while stack:
+        v, parental = stack.pop()
+        word.append(m - 1 if v else 0)
+        if v:  # children pushed last-first, so they pop in clockwise order
+            for off in range(m - 1, 0, -1):
+                col = (parental - 1 + off) % m + 1
+                stack.append((nbr[v][col], col))
+    return PlaneTree(m, tuple(word))
 
 
 def family6_to_5(x: PlaneTree) -> RootedTree:
     """Recolour edges from the parental colours (root parental = S_1) and
-    prune the leaves."""
-    _family6_check(x)
+    prune the leaves: one pass over the word, with a stack of the open
+    internal nodes as [vertex, parental colour, children seen]."""
+    m, k = x.m, 1
     edges = []
-    counter = [1]
-
-    def walk(node: PlaneNode, parental: int, vid: int) -> None:
-        for off, child in enumerate(node, start=1):
-            col = (parental - 1 + off) % x.m + 1
-            if child is not None:
-                counter[0] += 1
-                cid = counter[0]
-                edges.append((vid, cid, col))
-                walk(child, col, cid)
-
-    walk(x.root, 1, 1)
-    tree = ColouredTree(counter[0], x.m, tuple(edges))
-    out = RootedTree.from_tree(tree, 1)
+    stack = [[1, 1, 0]]
+    for a in x.word[1:]:
+        while stack[-1][2] == m - 1:
+            stack.pop()
+        top = stack[-1]
+        top[2] += 1
+        col = (top[1] - 1 + top[2]) % m + 1
+        if a:
+            k += 1
+            edges.append((top[0], k, col))
+            stack.append([k, col, 0])
+    out = RootedTree.from_tree(ColouredTree(k, m, tuple(edges)), 1)
     _family5_check(out)
     return out
 

@@ -117,7 +117,7 @@ def _load_object(text: str):
         return ColouredTree(forest.k, forest.m, forest.edges) if forest.is_tree else forest
     if "arcs" in d:
         return RnaDiagram.from_json(text)
-    if "plane" in d:
+    if "word" in d:
         return bij.PlaneTree.from_json(text)
     if "diagonals" in d:
         if "labels" in d:
@@ -127,7 +127,8 @@ def _load_object(text: str):
         if "colours" in d:
             return ColouredAngulation.from_json(text)
         return MAngulation.from_json(text)
-    raise ValidationError("unrecognized object JSON")
+    raise MalformedJSON('unrecognized object JSON: expected an "edges", "arcs", "word" '
+                        'or "diagonals" key')
 
 
 def _dump_object(obj) -> str:
@@ -135,8 +136,6 @@ def _dump_object(obj) -> str:
         d = json.loads(obj.tree.to_json())
         d["root"] = obj.root
         return json.dumps(d, separators=(",", ":"))
-    if isinstance(obj, bij.PlaneTree):
-        return obj.to_json()
     if isinstance(obj, tuple):  # decomposition results
         return json.dumps([json.loads(_dump_object(x)) for x in obj], separators=(",", ":"))
     return obj.to_json()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clustercomb.angulations import canonical_rotation, colour_from_seed
+from clustercomb.angulations import MAngulation, canonical_rotation, colour_from_seed
 from clustercomb.bijections import (
     PlaneTree,
     RootedTree,
@@ -42,6 +42,7 @@ from clustercomb.diagrams import RnaDiagram, is_connected, is_noncrossing
 from clustercomb.errors import (
     ConditionAViolated,
     ConditionBViolated,
+    MalformedJSON,
     NotInFamily,
     WrongCircularOrder,
 )
@@ -220,16 +221,17 @@ def family2_members(k, m):
 
 
 def plane_trees(k, m):
-    """Independent generator of complete (m-1)-ary plane trees with k
-    internal vertices."""
+    """Independent generator of the Łukasiewicz words of the complete
+    (m-1)-ary plane trees with k internal vertices: the root's arity m-1,
+    then its children's words in order."""
     if k == 0:
-        yield None
+        yield (0,)
         return
     for split in itertools.product(range(k), repeat=m - 1):
         if sum(split) != k - 1:
             continue
         for children in itertools.product(*(list(plane_trees(s, m)) for s in split)):
-            yield tuple(children)
+            yield (m - 1,) + sum(children, ())
 
 
 def test_family_chain_k1_full_cycle():
@@ -248,8 +250,58 @@ def test_family_sizes_agree_with_independent_generators():
         for k in range(1, kmax + 1):
             f2 = family2_members(k, m)
             f4 = list(enumerate_angulations(k, m))
-            f6 = [PlaneTree(m, p) for p in plane_trees(k, m)]
+            # the image of family (2) is all of family (6), not just as many
+            f6 = {family_chain(t, 2, 6) for t in f2}
+            assert f6 == {PlaneTree(m, w) for w in plane_trees(k, m)}
             assert len(f2) == len(f4) == len(f6) == s_count(k, m)
+
+
+def test_family_chain_deep_fan_round_trip():
+    # the 10 000-face m = 3 fan: its plane tree is a 10 000-deep right comb
+    k = 10_000
+    fan = MAngulation(3, k, tuple((1, v) for v in range(3, k + 2)))
+    plane = family_chain(fan, 4, 6)
+    assert plane.word == (2,) * k + (0,) * (k + 1)
+    assert family_chain(plane, 6, 4) == fan
+
+
+_NOT_A_PLANE_TREE = "object is not in family (6): not a complete (m-1)-ary plane tree"
+PLANE_WORDS = [
+    ("empty word", '{"m":3,"word":[]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("entry outside 0, m-1", '{"m":3,"word":[2,1,0,0]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("closes early", '{"m":3,"word":[2,0,0,0]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("closes early, count back at 0", '{"m":3,"word":[2,0,0,2,0]}', NotInFamily,
+     _NOT_A_PLANE_TREE),
+    ("never closes", '{"m":3,"word":[2,0]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("leaf root", '{"m":3,"word":[0]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("m = 0", '{"m":0,"word":[-1]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("m = -1", '{"m":-1,"word":[-2,0]}', NotInFamily, _NOT_A_PLANE_TREE),
+    ("bool entry", '{"m":3,"word":[2,true,0]}', MalformedJSON,
+     '"word" must be a list of integers, got [2, True, 0]'),
+    ("float entry", '{"m":3,"word":[2,2.5,0]}', MalformedJSON,
+     '"word" must be a list of integers, got [2, 2.5, 0]'),
+    ("string entry", '{"m":3,"word":["2",0,0]}', MalformedJSON,
+     "\"word\" must be a list of integers, got ['2', 0, 0]"),
+    ("word not a list", '{"m":3,"word":2}', MalformedJSON,
+     '"word" must be a list of integers, got 2'),
+    ("string m", '{"m":"3","word":[2,0,0]}', MalformedJSON, '"m" must be an integer, got \'3\''),
+]
+
+
+@pytest.mark.parametrize("name,text,error,message", PLANE_WORDS, ids=[c[0] for c in PLANE_WORDS])
+def test_plane_word_error_class_and_message(name, text, error, message):
+    with pytest.raises(error) as err:
+        PlaneTree.from_json(text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_plane_word_m1_and_json_round_trip():
+    # at m = 1 every node is internal with no children: the one member is (0,)
+    assert PlaneTree(1, (0,)).internal_count() == 1
+    with pytest.raises(NotInFamily):
+        PlaneTree(1, (0, 0))
+    p = PlaneTree(3, [2, 2, 0, 0, 0])
+    assert p.word == (2, 2, 0, 0, 0) and PlaneTree.from_json(p.to_json()) == p
 
 
 def test_family_m3_k3_has_five_members():

@@ -91,6 +91,26 @@ def test_map_families(capsys, monkeypatch):
     assert json.loads(out2) == json.loads(tree)
 
 
+def test_map_families_deep_fan_round_trip(capsys, monkeypatch):
+    # the 900-face m = 3 fan is a 900-deep plane tree; family (6) is a flat
+    # word, so 4 -> 6 -> 4 must not recurse
+    k = 900
+    fan = json.dumps({"m": 3, "k": k, "diagonals": [[1, v] for v in range(3, k + 2)]},
+                     separators=(",", ":"))
+    code, word, _ = run(capsys, ["map", "families:4->6"], stdin=fan, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(word)["word"] == [2] * k + [0] * (k + 1)
+    code, back, _ = run(capsys, ["map", "families:6->4"], stdin=word, monkeypatch=monkeypatch)
+    assert code == 0 and back.strip() == fan
+
+
+def test_map_families_refuses_nested_plane_form(capsys, monkeypatch):
+    # the nested {"plane": ...} form is not read: family (6) JSON is a word
+    nested = '{"m":3,"plane":' + "[" * 500 + "]" * 500 + "}"
+    code, out, err = run(capsys, ["map", "families:6->5"], stdin=nested, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error:") and "Traceback" not in err
+
+
 def test_induct(capsys, monkeypatch):
     tree = '{"k":3,"m":3,"edges":[[1,2,1],[2,3,2]]}'
     steps = '[{"kind":"R","i":1,"j":2,"chain":[1,2,3]}]'
@@ -338,6 +358,8 @@ def test_shell_pipeline_end_to_end():
         '"colours":{"1-2":2,"1-3":1,"1-4":3,"2-3":3,"3-4":2},"labels":{"1-2-3":"a"}}',
         '{"m":3,"plane":[5]}',
         '{"m":"3","plane":null}',
+        '{"m":3,"word":[2,null,0]}',
+        '{"m":3,"word":{"0":2}}',
     ],
 )
 @pytest.mark.parametrize(

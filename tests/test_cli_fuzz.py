@@ -30,7 +30,7 @@ TREE = '{"k":3,"m":3,"edges":[[1,2,1],[2,3,2]]}'
 FOREST = '{"k":3,"m":3,"edges":[[1,2,1]]}'
 ROOTED = '{"k":3,"m":3,"edges":[[1,2,2],[2,3,1]],"root":1}'
 DIAGRAM = '{"k":3,"m":3,"arcs":[[[1,1],[2,1]],[[2,2],[3,2]]]}'
-PLANE = '{"m":3,"plane":[[null,null],null]}'
+PLANE = '{"m":3,"word":[2,2,0,0,0]}'
 _COLOURS = '"colours":{"1-2":3,"1-3":2,"1-4":1,"1-5":3,"2-3":1,"3-4":3,"4-5":2}'
 ANGULATION = '{"m":3,"k":3,"diagonals":[[1,3],[1,4]]}'
 COLOURED = '{"m":3,"k":3,"diagonals":[[1,3],[1,4]],' + _COLOURS + "}"
