@@ -38,6 +38,7 @@ from .core import (
     _checked_object,
     _is_int,
     _json_loads,
+    _relabelled,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -49,7 +50,6 @@ from .errors import (
     InvariantBroken,
     MalformedJSON,
     NotInFamily,
-    VertexOutOfRange,
     WrongCircularOrder,
     WrongObjectType,
 )
@@ -111,8 +111,6 @@ class RootedTree:
 
     @classmethod
     def from_tree(cls, tree: ColouredTree, root: int) -> "RootedTree":
-        if not (isinstance(root, int) and 1 <= root <= tree.k):
-            raise VertexOutOfRange(f"root {root!r} is not a vertex of 1..{tree.k}")
         return cls(canonical_rooted(tree, root))
 
     @property
@@ -153,7 +151,8 @@ def _descending_relabel(t: ColouredTree, root: int) -> ColouredTree:
     for i in range(t.k):
         label[v] = t.k - i
         v = sigma(v)
-    out = ColouredTree(t.k, t.m, tuple((label[u], label[w], c) for u, w, c in t.edges))
+    # sigma of a tree is one k-cycle, so the labels are a bijection of 1..k
+    out = _relabelled(t, label)
     if not _is_descending(out):
         raise InvariantBroken("relabelled tree is not descending")
     return out

@@ -199,7 +199,8 @@ def _cmd_induct(args) -> int:
 
 def _cmd_orbit(args) -> int:
     tree = ColouredTree.from_json(sys.stdin.read())
-    orb = [{"k": t.k, "m": t.m, "edges": [list(e) for e in t.edges]}
+    # json writes the edge tuples as it writes lists
+    orb = [{"k": t.k, "m": t.m, "edges": t.edges}
            for t in sorted(orbit(tree), key=lambda t: t.edges)]
     print(json.dumps({"size": len(orb), "orbit": orb}, separators=(",", ":")))
     return 0

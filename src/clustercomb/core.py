@@ -8,6 +8,18 @@ is swapped with the other endpoint.  The composite S_m o ... o S_1 is the
 *circular order* of the forest; on a tree it is always a single k-cycle.
 
 Vertices and symbols are 1-based throughout, matching the usual notation.
+
+Validation happens once, at the boundary.  The constructors
+`ColouredForest(k, m, edges)` and `ColouredTree(k, m, edges)`, and with them
+`validate_forest`, `validate_tree`, `relabel` and every `from_json`, check
+all invariants of edges that come from a caller.  Internal producers whose
+output is proper by a stated argument build their trees with
+`ColouredForest._trusted` instead, which runs no check: the circular-order
+class generator and the labelled backtracker in `counting`, the R/L
+successors in `induction`, the canonical relabellings here and the
+descending relabelling in `bijections`.  Each call site states its argument.
+The slot table `nbr` is filled by validation, or from the edges on its first
+read, so a tree whose table nobody reads never builds one.
 """
 from __future__ import annotations
 
@@ -27,6 +39,10 @@ from .errors import (
 )
 
 Edge = tuple[int, int, int]  # (u, v, colour) with u < v
+
+# The slot table holds m + 1 slots per vertex whatever the edges, so a larger
+# palette is refused before it is allocated.
+MAX_COLOURS = 1000
 
 
 def _is_int(x) -> bool:
@@ -89,7 +105,8 @@ class ColouredForest:
     hash equal.  Construction validates all invariants and fills the slot
     table ``nbr``: ``nbr[v][c]`` is the S_c-neighbour of vertex v, or 0 when
     v has no S_c-edge (row 0 and column 0 are unused).  This is the slot
-    layout of an RNA m-diagram, one partner per (vertex, colour) slot.
+    layout of an RNA m-diagram, one partner per (vertex, colour) slot.  A
+    forest from `_trusted` fills ``nbr`` on its first read.
     """
 
     k: int
@@ -101,8 +118,7 @@ class ColouredForest:
         k, m = self.k, self.m
         if k < 1:
             raise VertexOutOfRange(f"k must be >= 1, got {k}")
-        if m < 1:
-            raise VertexOutOfRange(f"m must be >= 1, got {m}")
+        _check_palette(m)
         nbr = [[0] * (m + 1) for _ in range(k + 1)]
         parent = list(range(k + 1))
 
@@ -134,6 +150,28 @@ class ColouredForest:
                 raise CycleDetected(f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
         object.__setattr__(self, "nbr", nbr)
+
+    @classmethod
+    def _trusted(cls, k: int, m: int, edges: tuple[Edge, ...]):
+        """A `cls` with these fields and no check: `edges` must already be
+        sorted, with u < v in each edge, and form a proper forest (a proper
+        tree for ColouredTree) on 1..k with colours 1..m <= MAX_COLOURS.
+        Only internal producers whose output is proper by a stated argument
+        call this."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["k"], fields["m"], fields["edges"] = k, m, edges
+        return self
+
+    @cached_property
+    def nbr(self) -> list[list[int]]:
+        """The slot table, filled from the edges on first read when
+        validation did not fill it."""
+        nbr = [[0] * (self.m + 1) for _ in range(self.k + 1)]
+        for u, v, c in self.edges:
+            nbr[u][c] = v
+            nbr[v][c] = u
+        return nbr
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, int]]:
@@ -191,10 +229,23 @@ class ColouredTree(ColouredForest):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.edges) != self.k - 1:
-            raise NotConnected(
-                f"tree on {self.k} vertices needs {self.k - 1} edges, got {len(self.edges)}"
-            )
+        _check_connected(self)
+
+
+def _check_connected(forest: ColouredForest) -> None:
+    """Refuse a proper forest that is no tree: it has fewer than k - 1 edges."""
+    if len(forest.edges) != forest.k - 1:
+        raise NotConnected(
+            f"tree on {forest.k} vertices needs {forest.k - 1} edges, got {len(forest.edges)}"
+        )
+
+
+def _check_palette(m: int) -> None:
+    """Refuse m outside 1..MAX_COLOURS, before a slot table is allocated."""
+    if m < 1:
+        raise VertexOutOfRange(f"m must be >= 1, got {m}")
+    if m > MAX_COLOURS:
+        raise VertexOutOfRange(f"m must be <= {MAX_COLOURS}, got {m}")
 
 
 def validate_forest(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredForest:
@@ -398,18 +449,34 @@ class UnlabelledTree:
         return self.tree.to_json()
 
 
-def _preorder_relabel(tree: ColouredForest, root: int) -> ColouredTree:
+def _relabelled(tree: ColouredTree, label) -> ColouredTree:
+    """The tree with each vertex v renamed label[v], for a bijection `label`
+    of 1..k.  Renaming the vertices of a proper tree bijectively keeps it a
+    proper tree, so it is built trusted; only the edges are oriented and
+    sorted again.  A forest that is no tree is refused, as the constructor
+    refuses it."""
+    _check_connected(tree)
+    edges = [(label[u], label[v], c) for u, v, c in tree.edges]
+    edges = [(a, b, c) if a < b else (b, a, c) for a, b, c in edges]
+    edges.sort()
+    return ColouredTree._trusted(tree.k, tree.m, tuple(edges))
+
+
+def _preorder_relabel(tree: ColouredTree, root: int) -> ColouredTree:
+    # the preorder from a vertex of a tree visits each vertex once, so
+    # numbering the visits is a bijection of 1..k
     label = [0] * (tree.k + 1)
     for nxt, (v, _, _) in enumerate(_preorder(tree, root), 1):
         label[v] = nxt
-    edges = tuple((label[u], label[v], c) for u, v, c in tree.edges)
-    return ColouredTree(tree.k, tree.m, edges)
+    return _relabelled(tree, label)
 
 
 def canonical_rooted(tree: ColouredTree, root: int) -> ColouredTree:
     """Canonical labelling of a rooted coloured tree: the root becomes 1 and
     the rest follow the colour-sorted DFS preorder.  Sibling edges carry
     distinct colours, so this is unique per rooted isomorphism class."""
+    if not (isinstance(root, int) and 1 <= root <= tree.k):
+        raise VertexOutOfRange(f"root {root!r} is not a vertex of 1..{tree.k}")
     return _preorder_relabel(tree, root)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree
+from .core import CircularOrder, ColouredTree, _check_palette
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
 
@@ -233,7 +233,13 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
             for a in cycle:
                 label[v] = a
                 v = tau[v]
-            yield ColouredTree(k, m, list(zip(map(label.__getitem__, par[2:]), label[2:], col[2:])))
+            # a proper tree: each vertex t > 1 hangs from an earlier vertex
+            # par[t] by a colour no other edge at par[t] has, and the labels
+            # are a bijection of 1..k; only orient and sort the edges
+            edges = [(a, b, c) if a < b else (b, a, c)
+                     for a, b, c in zip(map(label.__getitem__, par[2:]), label[2:], col[2:])]
+            edges.sort()
+            yield ColouredTree._trusted(k, m, tuple(edges))
         if not branches:
             return
         # back to the last vertex u with a set left.  Its later vertices get
@@ -262,12 +268,11 @@ def enumerate_trees(
     endpoint, max endpoint, colour) order, keeping the partial edge set a
     properly coloured forest throughout; the whole set is guarded by U.
     With an order, sorts the class `_order_class` builds, guarded by T."""
-    if order is None:
-        _guard("enumerate_trees", u_count(k, m))
-    else:
-        if k < 1:
-            raise VertexOutOfRange(f"enumerate_trees needs k >= 1, got k = {k}")
-        _guard("enumerate_trees", t_count(k, m))
+    if order is not None and k < 1:
+        raise VertexOutOfRange(f"enumerate_trees needs k >= 1, got k = {k}")
+    _check_palette(m)  # the trees are built trusted, so m is checked here
+    _guard("enumerate_trees", u_count(k, m) if order is None else t_count(k, m))
+    if order is not None:
         if not isinstance(order, CircularOrder):
             order = CircularOrder(tuple(order))
         if order.k != k or set(order.perm) != set(range(1, k + 1)):
@@ -285,7 +290,10 @@ def enumerate_trees(
 
     def rec(start: int, chosen: list, parent: list) -> Iterator[ColouredTree]:
         if len(chosen) == need:
-            yield ColouredTree(k, m, tuple(chosen))
+            # a proper tree: the colour masks keep the colouring proper, the
+            # union-find keeps it acyclic, and k - 1 edges connect it; the
+            # candidates are taken in canonical (u, v, colour) order
+            yield ColouredTree._trusted(k, m, tuple(chosen))
             return
         remaining = need - len(chosen)
         for idx in range(start, len(cands) - remaining + 1):

@@ -25,6 +25,7 @@ from .core import (
     ColouredTree,
     Edge,
     _chain_path,
+    _check_connected,
     _checked_object,
     _is_int,
     circular_order,
@@ -117,7 +118,10 @@ def _apply(tree: ColouredTree, chain, i: int, j: int, swap_colour: int) -> Colou
     path = _resolve_chain(tree, chain, i, j).vertices
     if len(path) == 1:
         return tree
-    return ColouredTree(tree.k, tree.m, _successor_edges(tree, path, i, j, swap_colour))
+    # _successor_edges is sorted and proper (see its docstring), with as
+    # many edges as the input, so the successor of a tree is a tree
+    _check_connected(tree)
+    return ColouredTree._trusted(tree.k, tree.m, _successor_edges(tree, path, i, j, swap_colour))
 
 
 def apply_R(tree: ColouredTree, chain, i: int, j: int | None = None) -> ColouredTree:
@@ -220,6 +224,7 @@ def _eliminate_colour(tree: ColouredTree, l: int) -> tuple[ColouredTree, list[In
 
     if done(tree):
         return tree, []
+    _check_connected(tree)
     k, m = tree.k, tree.m
     frontier = [tree]
     parents: dict[tuple[Edge, ...], tuple[ColouredTree, str, Chain] | None] = {tree.edges: None}
@@ -240,7 +245,7 @@ def _eliminate_colour(tree: ColouredTree, l: int) -> tuple[ColouredTree, list[In
                 if edges in parents:
                     continue
                 parents[edges] = (t, kind, c)
-                t2 = ColouredTree(k, m, edges)
+                t2 = ColouredTree._trusted(k, m, edges)  # a tree, as in _apply
                 if done(t2):
                     return t2, _unwind(edges, parents, l)
                 nxt.append(t2)

@@ -203,3 +203,30 @@ def test_deep_json_is_malformed(monkeypatch, argv, stdin):
     monkeypatch.undo()
     assert code == 3 and out.getvalue() == ""
     assert err.getvalue() == "validation error: JSON document is nested too deeply\n"
+
+
+HUGE_M = '{"k":3,"m":2000000,"edges":[[1,2,1],[2,3,2]]}'
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["orbit"], HUGE_M),
+        (["export"], HUGE_M),
+        (["map", "tree->angulation"], HUGE_M),
+        (["induct", STEPS], HUGE_M),
+        (["enumerate", "trees", "--k", "1", "--m", "2000000"], None),
+    ],
+    ids=["orbit", "export", "map", "induct", "enumerate"],
+)
+def test_huge_m_is_refused(monkeypatch, argv, stdin):
+    # a palette too large for the slot table: a validation error (exit 3)
+    # before the table is allocated, whatever the command
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = cli.main(argv)
+    monkeypatch.undo()
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue() == "validation error: m must be <= 1000, got 2000000\n"

@@ -61,6 +61,9 @@ MALFORMED = [
     ("colour 0", 3, 3, [(1, 2, 0)], VertexOutOfRange, "colour S_0 outside S_1..S_3"),
     ("k below 1", 0, 3, [], VertexOutOfRange, "k must be >= 1, got 0"),
     ("m below 1", 2, 0, [(1, 2, 1)], VertexOutOfRange, "m must be >= 1, got 0"),
+    # refused before a slot table of m + 1 slots per vertex is allocated
+    ("m above the palette bound", 3, 2_000_000, [(1, 2, 1), (2, 3, 2)], VertexOutOfRange,
+     "m must be <= 1000, got 2000000"),
     ("pair twice, two colours", 3, 3, [(1, 2, 1), (2, 1, 2)], DuplicateEdge,
      "edge (1,2) appears twice"),
     ("pair twice, one colour", 3, 3, [(1, 2, 1), (1, 2, 1)], DuplicateEdge,

@@ -168,6 +168,15 @@ def test_zero_vertices_refused():
         u_count(0, 3)
 
 
+def test_enumerate_trees_refuses_m_beyond_the_palette_bound():
+    # its trees are built without validation, so it checks m itself, and
+    # before the work guard: at k = 1 and 2 the guard lets such an m through
+    for order in (None, (1,), (2, 1)):
+        with pytest.raises(VertexOutOfRange, match="^m must be <= 1000, got 1001$"):
+            next(enumerate_trees(len(order or (1,)), 1001, order))
+    assert len(list(enumerate_trees(2, 1000))) == 1000
+
+
 @pytest.mark.parametrize(
     "call",
     [
