@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import ColouredTree, _checked_object, _int_tuples, _is_int, _json_loads, maximal_chains
+from .core import ColouredTree, _check_ints, _FromJson, _is_int, maximal_chains
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
@@ -91,12 +91,15 @@ def _norm_edge(a: int, b: int) -> Diagonal:
 
 
 @dataclass(frozen=True)
-class MAngulation:
+class MAngulation(_FromJson):
     m: int
     k: int
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self):
+        _check_ints(m=self.m, k=self.k)
+        if not _is_int(self.diagonals, None, 2):
+            raise MalformedJSON('"diagonals" must be a list of [a, b] integer lists')
         object.__setattr__(
             self, "diagonals", tuple(sorted(_norm_edge(*d) for d in self.diagonals))
         )
@@ -172,17 +175,10 @@ class MAngulation:
     def to_json(self) -> str:
         return _encode(self.m, self.k, self.diagonals)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MAngulation":
-        return validate_angulation(_json_loads(text))
 
-
-def validate_angulation(raw: dict) -> MAngulation:
-    """Validate the fields every angulation format shares, {"m": int,
-    "k": int, "diagonals": [[a, b], ...]}, into an MAngulation; a value of
-    another shape raises MalformedJSON."""
-    d = _checked_object(raw, "m", "k")
-    return MAngulation(d["m"], d["k"], _int_tuples(d, "diagonals", 2, "[a, b]"))
+# the fields every angulation format shares, {"m": int, "k": int,
+# "diagonals": [[a, b], ...]}, as an MAngulation
+validate_angulation = MAngulation.from_dict
 
 
 def _encode(m: int, k: int, diagonals, colours=None, root=None, labels=None) -> str:
@@ -213,17 +209,28 @@ def _parse_key(s, field: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _keyed(d: dict, field: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The entries of the JSON object d[field], which maps "a-b-..." keys to
-    integers, with the keys parsed."""
+def _keyed(d: dict, field: str) -> tuple[tuple[tuple[int, ...], object], ...]:
+    """The entries of the JSON object d[field], their "a-b-..." keys parsed."""
     items = d.get(field)
-    if not isinstance(items, dict) or not all(map(_is_int, items.values())):
+    if not isinstance(items, dict):
         raise MalformedJSON(f'"{field}" must map "a-b-..." keys to integers')
     return tuple((_parse_key(key, field), v) for key, v in items.items())
 
 
+def _int_map(entries, field: str, width: int | None) -> dict[tuple[int, ...], int]:
+    """`entries`, pairs of a key of `width` integers and an integer, as a
+    dict in key order; another shape raises MalformedJSON naming the field."""
+    try:
+        d = dict(sorted(entries)) if isinstance(entries, (list, tuple)) else None
+    except (TypeError, ValueError):  # entries that are no pairs, or list keys
+        d = None
+    if d is None or not (_is_int(list(d), None, width) and _is_int(list(d.values()), None)):
+        raise MalformedJSON(f'"{field}" must map "a-b-..." keys to integers')
+    return d
+
+
 @dataclass(frozen=True)
-class ColouredAngulation:
+class ColouredAngulation(_FromJson):
     """A diagonal-coloured m-angulation; ``colours`` maps every edge of the
     dissection (sides and diagonals) to a symbol so that each face reads
     S_1..S_m clockwise."""
@@ -232,8 +239,8 @@ class ColouredAngulation:
     colours: tuple[tuple[Diagonal, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colours", tuple(sorted(self.colours)))
-        cmap = dict(self.colours)
+        cmap = _int_map(self.colours, "colours", 2)
+        object.__setattr__(self, "colours", tuple(cmap.items()))
         expected = set(self.ang.edges())
         if set(cmap) != expected:
             raise WrongFaceShape("colouring must cover exactly the dissection's edges")
@@ -263,18 +270,20 @@ class ColouredAngulation:
         return _encode(self.m, self.k, self.ang.diagonals, self.colours)
 
     @classmethod
-    def from_json(cls, text: str) -> "ColouredAngulation":
-        d = _json_loads(text)
-        return cls(validate_angulation(d), _keyed(d, "colours"))
+    def from_dict(cls, d) -> "ColouredAngulation":
+        return cls(MAngulation.from_dict(d), _keyed(d, "colours"))
 
 
 @dataclass(frozen=True)
-class RootedAngulation:
+class RootedAngulation(_FromJson):
     base: ColouredAngulation
     root: Face
 
     def __post_init__(self):
-        if tuple(self.root) not in self.base.ang.faces:
+        if not _is_int(self.root, None):
+            raise MalformedJSON(f'"root" must be a face, a list of integers, got {self.root!r}')
+        object.__setattr__(self, "root", tuple(self.root))
+        if self.root not in self.base.ang.faces:
             raise WrongFaceShape(f"root {self.root} is not a face")
 
     def to_json(self) -> str:
@@ -282,21 +291,19 @@ class RootedAngulation:
         return _encode(b.m, b.k, b.ang.diagonals, b.colours, root=self.root)
 
     @classmethod
-    def from_json(cls, text: str) -> "RootedAngulation":
-        d = _json_loads(text)
-        base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
-        return cls(base, _parse_key(d.get("root"), "root"))
+    def from_dict(cls, d) -> "RootedAngulation":
+        return cls(ColouredAngulation.from_dict(d), _parse_key(d.get("root"), "root"))
 
 
 @dataclass(frozen=True)
-class LabelledAngulation:
+class LabelledAngulation(_FromJson):
     base: ColouredAngulation
     labels: tuple[tuple[Face, int], ...]  # face -> 1..k, a bijection
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
+        lmap = _int_map(self.labels, "labels", None)
+        object.__setattr__(self, "labels", tuple(lmap.items()))
         faces = set(self.base.ang.faces)
-        lmap = dict(self.labels)
         if set(lmap) != faces or sorted(lmap.values()) != list(
             range(1, self.base.ang.k + 1)
         ):
@@ -311,10 +318,8 @@ class LabelledAngulation:
         return _encode(b.m, b.k, b.ang.diagonals, b.colours, labels=self.labels)
 
     @classmethod
-    def from_json(cls, text: str) -> "LabelledAngulation":
-        d = _json_loads(text)
-        base = ColouredAngulation(validate_angulation(d), _keyed(d, "colours"))
-        return cls(base, _keyed(d, "labels"))
+    def from_dict(cls, d) -> "LabelledAngulation":
+        return cls(ColouredAngulation.from_dict(d), _keyed(d, "labels"))
 
 
 # -- colouring -------------------------------------------------------------------

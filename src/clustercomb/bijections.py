@@ -35,9 +35,9 @@ from .core import (
     ColouredForest,
     ColouredTree,
     UnlabelledTree,
-    _checked_object,
+    _check_ints,
+    _FromJson,
     _is_int,
-    _json_loads,
     _relabelled,
     canonical_rooted,
     canonical_unlabelled,
@@ -128,6 +128,9 @@ class RootedTree:
     def root_edges(self) -> dict[int, int]:
         """colour -> neighbour at the root"""
         return dict(self.tree.adjacency[1])
+
+    def to_json(self) -> str:  # the tree's JSON object with "root" added
+        return self.tree.to_json()[:-1] + f',"root":{self.root}}}'
 
 
 def _is_descending(tree: ColouredTree) -> bool:
@@ -258,7 +261,7 @@ def labelled_angulation_to_tree(lang: LabelledAngulation) -> ColouredTree:
 # -- rooted complete plane trees -------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(_FromJson):
     """A rooted complete (m-1)-ary plane tree as its Łukasiewicz word: the
     node arities in preorder, m-1 for an internal node and 0 for a leaf.
 
@@ -271,9 +274,12 @@ class PlaneTree:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_ints(m=self.m)
+        if not _is_int(self.word, None):
+            raise MalformedJSON(f'"word" must be a list of integers, got {self.word!r}')
         object.__setattr__(self, "word", tuple(self.word))
         m, word = self.m, self.word
-        ok = _is_int(m) and m >= 1 and word[:1] == (m - 1,)
+        ok = m >= 1 and word[:1] == (m - 1,)
         need = 1  # subtrees still to read
         for a in word if ok else ():
             if need == 0 or a not in (0, m - 1):
@@ -288,16 +294,6 @@ class PlaneTree:
 
     def to_json(self) -> str:
         return json.dumps({"m": self.m, "word": list(self.word)}, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlaneTree":
-        """Parse {"m": int, "word": [int, ...]}; another shape raises
-        MalformedJSON."""
-        d = _checked_object(_json_loads(text), "m")
-        word = d.get("word")
-        if not isinstance(word, list) or not all(map(_is_int, word)):
-            raise MalformedJSON(f'"word" must be a list of integers, got {word!r}')
-        return cls(d["m"], word)
 
 
 # -- the six-family chain ---------------------------------------------------------------

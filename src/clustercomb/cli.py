@@ -25,7 +25,8 @@ from .angulations import (
     RootedAngulation,
     dual_tree_dot,
 )
-from .core import CircularOrder, ColouredForest, ColouredTree, _json_loads, tree_to_dot
+from .core import CircularOrder, ColouredForest, ColouredTree, tree_to_dot
+from .core import _checked_object, _is_int, _json_loads
 from .diagrams import RnaDiagram
 from .errors import (
     ClustercombError,
@@ -107,37 +108,34 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_object(text: str):
-    d = _json_loads(text)
-    if not isinstance(d, dict):
-        raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
+    """The object a JSON text encodes, told by its keys: one parse, one check."""
+    d = _checked_object(_json_loads(text))
     if "edges" in d:
-        forest = ColouredForest.from_json(text)
         if "root" in d:
-            return bij.RootedTree.from_tree(ColouredTree(forest.k, forest.m, forest.edges), d["root"])
-        return ColouredTree(forest.k, forest.m, forest.edges) if forest.is_tree else forest
+            return bij.RootedTree.from_tree(ColouredTree.from_dict(d), d["root"])
+        # with k - 1 edges the tree constructor refuses what the forest one does
+        k, edges = d.get("k"), d["edges"]
+        tree = _is_int(k) and isinstance(edges, list) and len(edges) == k - 1
+        return (ColouredTree if tree else ColouredForest).from_dict(d)
     if "arcs" in d:
-        return RnaDiagram.from_json(text)
+        return RnaDiagram.from_dict(d)
     if "word" in d:
-        return bij.PlaneTree.from_json(text)
+        return bij.PlaneTree.from_dict(d)
     if "diagonals" in d:
         if "labels" in d:
-            return LabelledAngulation.from_json(text)
+            return LabelledAngulation.from_dict(d)
         if "root" in d:
-            return RootedAngulation.from_json(text)
+            return RootedAngulation.from_dict(d)
         if "colours" in d:
-            return ColouredAngulation.from_json(text)
-        return MAngulation.from_json(text)
+            return ColouredAngulation.from_dict(d)
+        return MAngulation.from_dict(d)
     raise MalformedJSON('unrecognized object JSON: expected an "edges", "arcs", "word" '
                         'or "diagonals" key')
 
 
 def _dump_object(obj) -> str:
-    if isinstance(obj, bij.RootedTree):
-        d = json.loads(obj.tree.to_json())
-        d["root"] = obj.root
-        return json.dumps(d, separators=(",", ":"))
     if isinstance(obj, tuple):  # decomposition results
-        return json.dumps([json.loads(_dump_object(x)) for x in obj], separators=(",", ":"))
+        return "[" + ",".join(map(_dump_object, obj)) + "]"
     return obj.to_json()
 
 

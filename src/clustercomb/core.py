@@ -12,8 +12,11 @@ Vertices and symbols are 1-based throughout, matching the usual notation.
 Validation happens once, at the boundary.  The constructors
 `ColouredForest(k, m, edges)` and `ColouredTree(k, m, edges)`, and with them
 `validate_forest`, `validate_tree`, `relabel` and every `from_json`, check
-all invariants of edges that come from a caller.  Internal producers whose
-output is proper by a stated argument build their trees with
+all invariants of edges that come from a caller.  Every constructor of the
+package checks its own field types with the one predicate `_is_int`, so a
+bool, float, numeric string or None is `MalformedJSON` naming the field,
+never coerced; JSON loading only parses.  Internal producers whose output
+is proper by a stated argument build their trees with
 `ColouredForest._trusted` instead, which runs no check: the circular-order
 class generator and the labelled backtracker in `counting`, the R/L
 successors in `induction`, the canonical relabellings here and the
@@ -24,9 +27,9 @@ read, so a tree whose table nobody reads never builds one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CycleDetected,
@@ -40,23 +43,44 @@ from .errors import (
 
 Edge = tuple[int, int, int]  # (u, v, colour) with u < v
 
-# The slot table holds m + 1 slots per vertex whatever the edges, so a larger
-# palette is refused before it is allocated.
+# The slot table holds (k + 1)(m + 1) slots whatever the edges, so a larger palette
+# or table is refused before it is allocated; k = 10^4 is admitted at every m <= 98.
 MAX_COLOURS = 1000
+MAX_SLOTS = 1_000_000
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_int(x, *widths: int | None) -> bool:
+    """The one type rule of the constructors' integer fields: x is an int and
+    no bool, or given widths a list or tuple of widths[0] entries (any number
+    for None) that pass with widths[1:], as edges pass with None, 3."""
+    if not widths:
+        return type(x) is int
+    level = (x,)
+    for width in widths:
+        entries = []
+        for e in level:
+            if not isinstance(e, (list, tuple)) or width is not None and len(e) != width:
+                return False
+            entries += e
+        level = entries
+    for v in level:
+        if type(v) is not int:
+            return False
+    return True
 
 
-def _checked_object(d, *int_keys: str) -> dict:
-    """d, when it is a JSON object (a dict) whose `int_keys` hold integers;
-    a value of another shape raises MalformedJSON."""
+def _check_ints(**fields) -> None:
+    """Refuse the first named field that is no int, naming it."""
+    for name, value in fields.items():
+        if not _is_int(value):
+            raise MalformedJSON(f'"{name}" must be an integer, got {value!r}')
+
+
+def _checked_object(d) -> dict:
+    """d, when it is a JSON object (a dict); any other value raises
+    MalformedJSON."""
     if not isinstance(d, dict):
         raise MalformedJSON(f"expected a JSON object, got {type(d).__name__}")
-    for key in int_keys:
-        if not _is_int(d.get(key)):
-            raise MalformedJSON(f'"{key}" must be an integer, got {d.get(key)!r}')
     return d
 
 
@@ -69,36 +93,37 @@ def _json_loads(text: str):
         raise MalformedJSON("JSON document is nested too deeply") from None
 
 
-def _int_tuples(d: dict, key: str, width: int, form: str) -> tuple[tuple[int, ...], ...]:
-    """d[key] as a tuple of integer tuples, when it is a list of `width`-long
-    integer lists; otherwise MalformedJSON naming the expected `form`."""
-    items = d.get(key)
-    if not isinstance(items, list) or not all(
-        isinstance(x, list) and len(x) == width and all(map(_is_int, x)) for x in items
-    ):
-        raise MalformedJSON(f'"{key}" must be a list of {form} integer lists')
-    return tuple(tuple(x) for x in items)
+class _FromJson:
+    """JSON loading for a dataclass whose JSON object holds its fields by name."""
+
+    @classmethod
+    def from_dict(cls, d):
+        d = _checked_object(d)
+        return cls(*(d.get(f.name) for f in fields(cls)))
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(_json_loads(text))
 
 
-def _normalise_edges(raw_edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+def _normalise_edges(raw_edges) -> tuple[Edge, ...]:
     """The edges as sorted (u, v, colour) triples with u <= v.  An edge that
-    is not three integers (a bool is none) raises MalformedJSON, as it does
-    at the JSON boundary, rather than being truncated to one."""
-    out = []
-    for e in raw_edges:
-        try:
-            u, v, c = e
-        except (TypeError, ValueError):
-            raise MalformedJSON(f"edge {e!r} is not a (u, v, colour) triple") from None
-        if not (type(u) is type(v) is type(c) is int):
-            raise MalformedJSON(f"edge {e!r} is not a triple of integers")
-        out.append((u, v, c) if u < v else (v, u, c))
+    is not three integers (a bool is none) raises MalformedJSON naming it
+    rather than being truncated to one."""
+    if not _is_int(raw_edges, None, 3):
+        if not isinstance(raw_edges, (list, tuple)):
+            raise MalformedJSON('"edges" must be a list of [u, v, colour] integer lists')
+        e = next(e for e in raw_edges if not _is_int(e, 3))
+        three = isinstance(e, (list, tuple)) and len(e) == 3
+        shape = "triple of integers" if three else "(u, v, colour) triple"
+        raise MalformedJSON(f"edge {e!r} is not a {shape}")
+    out = [(u, v, c) if u < v else (v, u, c) for u, v, c in raw_edges]
     out.sort()
     return tuple(out)
 
 
 @dataclass(frozen=True)
-class ColouredForest:
+class ColouredForest(_FromJson):
     """A properly m-edge-coloured forest on vertices 1..k.
 
     ``edges`` is kept sorted with u < v per edge, so equal forests compare and
@@ -114,11 +139,10 @@ class ColouredForest:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _normalise_edges(self.edges))
         k, m = self.k, self.m
-        if k < 1:
-            raise VertexOutOfRange(f"k must be >= 1, got {k}")
-        _check_palette(m)
+        _check_ints(k=k, m=m)
+        object.__setattr__(self, "edges", _normalise_edges(self.edges))
+        _check_size(k, m)
         nbr = [[0] * (m + 1) for _ in range(k + 1)]
         parent = list(range(k + 1))
 
@@ -155,9 +179,9 @@ class ColouredForest:
     def _trusted(cls, k: int, m: int, edges: tuple[Edge, ...]):
         """A `cls` with these fields and no check: `edges` must already be
         sorted, with u < v in each edge, and form a proper forest (a proper
-        tree for ColouredTree) on 1..k with colours 1..m <= MAX_COLOURS.
-        Only internal producers whose output is proper by a stated argument
-        call this."""
+        tree for ColouredTree) on 1..k with colours 1..m, of a size that
+        `_check_size` admits.  Only internal producers whose output is
+        proper by a stated argument call this."""
         self = object.__new__(cls)
         fields = self.__dict__
         fields["k"], fields["m"], fields["edges"] = k, m, edges
@@ -214,14 +238,6 @@ class ColouredForest:
             separators=(",", ":"),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ColouredForest":
-        """Parse {"k": int, "m": int, "edges": [[u, v, colour], ...]} and
-        validate it as `cls`; a document of another shape raises
-        MalformedJSON."""
-        d = _checked_object(_json_loads(text), "k", "m")
-        return cls(d["k"], d["m"], _int_tuples(d, "edges", 3, "[u, v, colour]"))
-
 
 @dataclass(frozen=True)
 class ColouredTree(ColouredForest):
@@ -240,20 +256,26 @@ def _check_connected(forest: ColouredForest) -> None:
         )
 
 
-def _check_palette(m: int) -> None:
-    """Refuse m outside 1..MAX_COLOURS, before a slot table is allocated."""
+def _check_size(k: int, m: int) -> None:
+    """Refuse k < 1, m outside 1..MAX_COLOURS, then a slot table of more
+    than MAX_SLOTS slots, before a table is allocated."""
+    if k < 1:
+        raise VertexOutOfRange(f"k must be >= 1, got {k}")
     if m < 1:
         raise VertexOutOfRange(f"m must be >= 1, got {m}")
     if m > MAX_COLOURS:
         raise VertexOutOfRange(f"m must be <= {MAX_COLOURS}, got {m}")
+    if (k + 1) * (m + 1) > MAX_SLOTS:
+        slots = (k + 1) * (m + 1)
+        raise VertexOutOfRange(f"k = {k} at m = {m} needs {slots} slots, more than {MAX_SLOTS}")
 
 
-def validate_forest(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredForest:
+def validate_forest(raw_edges: Sequence[Sequence[int]], k: int, m: int) -> ColouredForest:
     """Validate raw (u, v, colour) triples into a ColouredForest."""
     return ColouredForest(k, m, raw_edges)
 
 
-def validate_tree(raw_edges: Iterable[Sequence[int]], k: int, m: int) -> ColouredTree:
+def validate_tree(raw_edges: Sequence[Sequence[int]], k: int, m: int) -> ColouredTree:
     return ColouredTree(k, m, raw_edges)
 
 
@@ -475,7 +497,8 @@ def canonical_rooted(tree: ColouredTree, root: int) -> ColouredTree:
     """Canonical labelling of a rooted coloured tree: the root becomes 1 and
     the rest follow the colour-sorted DFS preorder.  Sibling edges carry
     distinct colours, so this is unique per rooted isomorphism class."""
-    if not (isinstance(root, int) and 1 <= root <= tree.k):
+    _check_ints(root=root)
+    if not 1 <= root <= tree.k:
         raise VertexOutOfRange(f"root {root!r} is not a vertex of 1..{tree.k}")
     return _preorder_relabel(tree, root)
 

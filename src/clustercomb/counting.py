@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree, _check_palette
+from .core import CircularOrder, ColouredTree, _check_size
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
 
@@ -90,12 +90,11 @@ def s_count(k: int, m: int) -> int:
 
 def u_count(k: int, m: int) -> int:
     """Total number of labelled m-edge-coloured trees on k vertices:
-    m*((m-1)k)! / ((m-2)k+2)!."""
+    m*((m-1)k)! / ((m-2)k+2)!, which is 1 at k = 1 and otherwise m times the
+    falling factorial of (m-1)k with k-2 factors (0 at m = 1 for k > 2)."""
     if k < 1 or m < 1:
         raise VertexOutOfRange(f"U_(k,m) needs k >= 1 and m >= 1, got ({k},{m})")
-    if m == 1:  # with one colour only k <= 2 has a tree
-        return int(k <= 2)
-    return _exact_div(m * math.factorial((m - 1) * k), math.factorial((m - 2) * k + 2))
+    return 1 if k == 1 else m * math.perm((m - 1) * k, k - 2)
 
 
 # -- identities ------------------------------------------------------------------
@@ -268,9 +267,7 @@ def enumerate_trees(
     endpoint, max endpoint, colour) order, keeping the partial edge set a
     properly coloured forest throughout; the whole set is guarded by U.
     With an order, sorts the class `_order_class` builds, guarded by T."""
-    if order is not None and k < 1:
-        raise VertexOutOfRange(f"enumerate_trees needs k >= 1, got k = {k}")
-    _check_palette(m)  # the trees are built trusted, so m is checked here
+    _check_size(k, m)  # the trees are built trusted, so their size is checked here
     _guard("enumerate_trees", u_count(k, m) if order is None else t_count(k, m))
     if order is not None:
         if not isinstance(order, CircularOrder):

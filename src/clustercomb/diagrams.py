@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
-from .core import _checked_object, _is_int, _json_loads
+from .core import _check_ints, _FromJson, _is_int
 from .errors import (
     MalformedJSON,
     SelfArc,
@@ -31,25 +30,29 @@ Slot = tuple[int, int]  # (vertex, base)
 Arc = tuple[Slot, Slot]
 
 
-def _normalise_arcs(m: int, raw: Iterable[Sequence[Sequence[int]]]) -> tuple[Arc, ...]:
+def _normalise_arcs(m: int, raw) -> tuple[Arc, ...]:
+    """The arcs as ((vertex, base), (vertex, base)) tuples, lower position
+    first, sorted by position; arcs that are not pairs of integer pairs
+    raise MalformedJSON rather than being coerced."""
+    if not _is_int(raw, None, 2, 2):
+        raise MalformedJSON('"arcs" must be a list of [[vertex, base], [vertex, base]] '
+                            "integer pairs")
     arcs = []
-    for a in raw:
-        (v1, r1), (v2, r2) = (int(a[0][0]), int(a[0][1])), (int(a[1][0]), int(a[1][1]))
-        p1 = (v1 - 1) * m + r1
-        p2 = (v2 - 1) * m + r2
-        if p1 > p2:
+    for (v1, r1), (v2, r2) in raw:
+        if (v1 - 1) * m + r1 > (v2 - 1) * m + r2:
             (v1, r1), (v2, r2) = (v2, r2), (v1, r1)
         arcs.append(((v1, r1), (v2, r2)))
     return tuple(sorted(arcs, key=lambda a: (a[0][0] - 1) * m + a[0][1]))
 
 
 @dataclass(frozen=True)
-class RnaDiagram:
+class RnaDiagram(_FromJson):
     k: int
     m: int
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
+        _check_ints(k=self.k, m=self.m)
         object.__setattr__(self, "arcs", _normalise_arcs(self.m, self.arcs))
         if self.k < 1 or self.m < 1:
             raise VertexOutOfRange("need k >= 1 and m >= 1")
@@ -83,27 +86,9 @@ class RnaDiagram:
             separators=(",", ":"),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "RnaDiagram":
-        return validate_diagram(_json_loads(text))
 
-
-def validate_diagram(raw: dict) -> RnaDiagram:
-    """Validate {"k": int, "m": int, "arcs": [[[v1, r], [v2, r]], ...]} into
-    an RnaDiagram; a value of another shape raises MalformedJSON."""
-    d = _checked_object(raw, "k", "m")
-    arcs = d.get("arcs")
-
-    def is_slot(x) -> bool:
-        return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
-
-    if not isinstance(arcs, list) or not all(
-        isinstance(a, list) and len(a) == 2 and all(map(is_slot, a)) for a in arcs
-    ):
-        raise MalformedJSON(
-            '"arcs" must be a list of [[vertex, base], [vertex, base]] integer pairs'
-        )
-    return RnaDiagram(d["k"], d["m"], tuple((tuple(a), tuple(b)) for a, b in arcs))
+# {"k": int, "m": int, "arcs": [[[v1, r], [v2, r]], ...]} as an RnaDiagram
+validate_diagram = RnaDiagram.from_dict
 
 
 def is_noncrossing(diagram: RnaDiagram) -> bool:

@@ -26,7 +26,8 @@ from .core import (
     Edge,
     _chain_path,
     _check_connected,
-    _checked_object,
+    _check_ints,
+    _FromJson,
     _is_int,
     circular_order,
     maximal_chains,
@@ -46,27 +47,23 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class InductionStep:
+class InductionStep(_FromJson):
+    """In JSON {"kind": "R" | "L", "i": int, "j": int or null (i+1), "chain": [...]}."""
+
     kind: str  # "R" or "L"
     i: int
     j: int | None  # None means i+1
     chain: tuple[int, ...]  # vertex set identifying the maximal chain
 
     def __post_init__(self):
+        _check_ints(i=self.i)
+        if self.j is not None and not _is_int(self.j):
+            raise MalformedJSON(f'"j" must be an integer or null, got {self.j!r}')
+        if not isinstance(self.chain, (list, tuple)):
+            raise NotMaximalChain(f"chain {self.chain!r} is not a list of vertices")
+        object.__setattr__(self, "chain", tuple(self.chain))
         if self.kind not in ("R", "L"):
             raise ValidationError(f'step kind must be "R" or "L", got {self.kind!r}')
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InductionStep":
-        """A step from {"kind": "R" | "L", "i": int, "j": int or null or
-        absent (i+1), "chain": [vertex, ...]}; another shape raises
-        MalformedJSON, and a chain that is no list NotMaximalChain."""
-        d = _checked_object(d, "i")
-        if d.get("j") is not None and not _is_int(d["j"]):
-            raise MalformedJSON(f'"j" must be an integer or null, got {d["j"]!r}')
-        if not isinstance(d.get("chain"), list):
-            raise NotMaximalChain(f"chain {d.get('chain')!r} is not a list of vertices")
-        return cls(d.get("kind"), d["i"], d.get("j"), tuple(d["chain"]))
 
 
 def _resolve_chain(tree: ColouredTree, chain, i: int, j: int) -> Chain:
@@ -155,6 +152,14 @@ def _chains_within(tree: ColouredTree, i: int, j: int, inside: frozenset[int]) -
     ]
 
 
+def _middle_edge(tree: ColouredTree, chain: Chain) -> tuple[int, int] | None:
+    """The first (vertex, colour), in path and colour order, of an edge
+    coloured S_{i+1}..S_{j-1} at the chain; None if there is none.  Each such
+    edge leaves the chain: one inside would close a cycle with its path."""
+    nbr, middle = tree.nbr, range(chain.i + 1, chain.j)
+    return next(((v, c) for v in chain.vertices for c in middle if nbr[v][c]), None)
+
+
 def decompose_Rij(
     tree: ColouredTree, chain, i: int, j: int
 ) -> list[InductionStep]:
@@ -163,13 +168,10 @@ def decompose_Rij(
     whole chain, then R_l descending.  The composition is checked against
     apply_R before returning."""
     c = _resolve_chain(tree, chain, i, j)
+    if hit := _middle_edge(tree, c):
+        v, col = hit
+        raise HypothesisViolated(f"edge of colour S_{col} at vertex {v} touches the chain")
     inside = c.vertex_set
-    for v in c.vertices:
-        for col, w in tree.adjacency[v].items():
-            if i < col < j and w not in inside:
-                raise HypothesisViolated(
-                    f"edge of colour S_{col} at vertex {v} touches the chain"
-                )
     steps: list[InductionStep] = []
     cur = tree
     for l in range(i, j - 1):
@@ -305,15 +307,8 @@ def sigma_invariance_witness(
         for c in maximal_chains(tree, i, j):
             if len(c.vertices) == 1:
                 continue
-            if require_middle_free:
-                inside = c.vertex_set
-                touched = any(
-                    i < col < j and w not in inside
-                    for v in c.vertices
-                    for col, w in tree.adjacency[v].items()
-                )
-                if touched:
-                    continue
+            if require_middle_free and _middle_edge(tree, c):
+                continue
             t2 = apply_R(tree, c, i, j)
             if circular_order(t2) != circular_order(tree):
                 return tree, c

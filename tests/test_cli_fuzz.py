@@ -230,3 +230,31 @@ def test_huge_m_is_refused(monkeypatch, argv, stdin):
     monkeypatch.undo()
     assert code == 3 and out.getvalue() == ""
     assert err.getvalue() == "validation error: m must be <= 1000, got 2000000\n"
+
+
+HUGE_K = '{"k":2000000,"m":3,"edges":[]}'
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["export"], HUGE_K),
+        (["map", "forest->diagram"], HUGE_K),
+        (["orbit"], HUGE_K),
+        (["enumerate", "trees", "--k", "2000000", "--m", "3"], None),
+    ],
+    ids=["export", "map", "orbit", "enumerate"],
+)
+def test_huge_k_is_refused(monkeypatch, argv, stdin):
+    # a slot table of (k + 1)(m + 1) slots above the bound: a validation
+    # error (exit 3) before the table is allocated, whatever the command
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = cli.main(argv)
+    monkeypatch.undo()
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue() == (
+        "validation error: k = 2000000 at m = 3 needs 8000004 slots, more than 1000000\n"
+    )

@@ -64,6 +64,11 @@ MALFORMED = [
     # refused before a slot table of m + 1 slots per vertex is allocated
     ("m above the palette bound", 3, 2_000_000, [(1, 2, 1), (2, 3, 2)], VertexOutOfRange,
      "m must be <= 1000, got 2000000"),
+    # and so is a table of (k + 1)(m + 1) slots above the slot bound
+    ("k above the slot bound", 2_000_000, 3, [], VertexOutOfRange,
+     "k = 2000000 at m = 3 needs 8000004 slots, more than 1000000"),
+    ("m above the palette bound with k also too large", 2_000_000, 1001, [], VertexOutOfRange,
+     "m must be <= 1000, got 1001"),
     ("pair twice, two colours", 3, 3, [(1, 2, 1), (2, 1, 2)], DuplicateEdge,
      "edge (1,2) appears twice"),
     ("pair twice, one colour", 3, 3, [(1, 2, 1), (1, 2, 1)], DuplicateEdge,

@@ -168,6 +168,28 @@ def test_zero_vertices_refused():
         u_count(0, 3)
 
 
+def test_u_count_is_the_factorial_quotient():
+    # U = m ((m-1)k)! / ((m-2)k+2)!, computed as m times a falling factorial
+    for k in range(1, 15):
+        for m in range(1, 12):
+            num = m * math.factorial((m - 1) * k)
+            den = math.factorial((m - 2) * k + 2) if m > 1 or k <= 2 else None
+            want = num // den if den else 0  # at m = 1 only k <= 2 has a tree
+            assert u_count(k, m) == want, (k, m)
+
+
+def test_u_count_at_a_large_palette_is_immediate():
+    # the falling factorial has k - 2 factors, whatever m
+    assert u_count(6, 100_000) == 100_000 * 599_994 * 599_993 * 599_992 * 599_991
+    assert u_count(1, 100_000) == 1 and u_count(2, 100_000) == 100_000
+
+
+def test_enumerate_trees_refuses_k_beyond_the_slot_bound():
+    # refused before the work guard computes U at that k
+    with pytest.raises(VertexOutOfRange, match="^k = 2000000 at m = 3 needs 8000004 slots"):
+        next(enumerate_trees(2_000_000, 3))
+
+
 def test_enumerate_trees_refuses_m_beyond_the_palette_bound():
     # its trees are built without validation, so it checks m itself, and
     # before the work guard: at k = 1 and 2 the guard lets such an m through
