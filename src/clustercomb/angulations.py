@@ -90,6 +90,14 @@ def _norm_edge(a: int, b: int) -> Diagonal:
     return (a, b) if a < b else (b, a)
 
 
+def _checked_edge(name: str, edge) -> Sequence[int]:
+    """An [a, b] edge argument, refused rather than coerced when it is not
+    a pair of ints."""
+    if not _is_int(edge, 2):
+        raise MalformedJSON(f'"{name}" must be an [a, b] integer pair, got {edge!r}')
+    return edge
+
+
 @dataclass(frozen=True)
 class MAngulation(_FromJson):
     m: int
@@ -330,9 +338,10 @@ def colour_from_seed(
     """The unique colouring extending seed_edge -> seed_colour under the
     clockwise S_1..S_m rule.  Propagation over the tree of faces is always
     consistent."""
+    _check_ints(seed_colour=seed_colour)
     if not (1 <= seed_colour <= ang.m):
         raise SymbolOutOfRange(f"seed colour S_{seed_colour} out of range")
-    seed = _norm_edge(int(seed_edge[0]), int(seed_edge[1]))
+    seed = _norm_edge(*_checked_edge("seed_edge", seed_edge))
     cmap: dict[Diagonal, int] = {seed: seed_colour}
     start = ang.face_with_edge(seed)
     todo = [start]
@@ -436,7 +445,7 @@ def _primitive_rotate(dis: _Dissection, d: Diagonal) -> Diagonal:
 def diagonal_rotate(ang: MAngulation, diag: Sequence[int]) -> MAngulation:
     """One anticlockwise rotation of a single diagonal (a mutation step)."""
     dis = _Dissection(ang.n, ang.diagonals)
-    _primitive_rotate(dis, _norm_edge(int(diag[0]), int(diag[1])))
+    _primitive_rotate(dis, _norm_edge(*_checked_edge("diag", diag)))
     return MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
 
 

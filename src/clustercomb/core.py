@@ -18,9 +18,10 @@ bool, float, numeric string or None is `MalformedJSON` naming the field,
 never coerced; JSON loading only parses.  Internal producers whose output
 is proper by a stated argument build their trees with
 `ColouredForest._trusted` instead, which runs no check: the circular-order
-class generator and the labelled backtracker in `counting`, the R/L
-successors in `induction`, the canonical relabellings here and the
-descending relabelling in `bijections`.  Each call site states its argument.
+class generator in `counting` and the relabellings of its class that
+`enumerate_trees` yields, the R/L successors in `induction`, the canonical
+relabellings here and the descending relabelling in `bijections`.  Each
+call site states its argument.
 The slot table `nbr` is filled by validation, or from the edges on its first
 read, so a tree whose table nobody reads never builds one.
 """

@@ -1,7 +1,7 @@
 """Closed-form counts, the identities connecting them, and exhaustive
-generators: the independent oracles, and the generator of one
-circular-order class from the rooted tree shapes, which `induction.orbit`
-uses.
+generators.  Trees have one generator: the circular-order class built from
+the rooted tree shapes, which `induction.orbit` uses as it is and
+`enumerate_trees` relabels onto every k-cycle.
 
 Everything here is exact integer (or exact rational) arithmetic; any
 non-exact division in a closed form is treated as a bug and raises.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree, _check_size
+from .core import CircularOrder, ColouredTree, _check_size, _relabelled
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
 
@@ -150,11 +150,16 @@ def check_gkp_identity(n: int, r: int, s: int, t: int) -> bool:
 
 # -- exhaustive generators --------------------------------------------------------
 
-def _motzkin(n: int) -> int:
+def _motzkin(n: int, cap: int) -> int:
     """Number of partial noncrossing matchings on n points; an upper bound on
-    the number of noncrossing diagrams with n = k*m slots."""
+    the number of noncrossing diagrams with n = k*m slots.  Motzkin numbers
+    never decrease, so the first term above cap is returned at once: the
+    guard refuses it as it would the n-th, without the rest of the
+    quadratic big-integer work."""
     mot = [1, 1]
     for i in range(1, n):
+        if mot[-1] > cap:
+            return mot[-1]
         mot.append(mot[-1] + sum(mot[j] * mot[i - 1 - j] for j in range(i)))
     return mot[n]
 
@@ -261,61 +266,35 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
 def enumerate_trees(
     k: int, m: int, order: CircularOrder | Sequence[int] | None = None
 ) -> Iterator[ColouredTree]:
-    """Yield every labelled m-edge-coloured tree on k vertices, or with an
-    order every tree of that circular order, sorted by edges either way.
-    Without an order, backtracks over candidate edges in the canonical (min
-    endpoint, max endpoint, colour) order, keeping the partial edge set a
-    properly coloured forest throughout; the whole set is guarded by U.
-    With an order, sorts the class `_order_class` builds, guarded by T."""
+    """Yield every labelled m-edge-coloured tree on k vertices, class by
+    class, or with an order every tree of that circular order; each class
+    comes sorted by edges.
+
+    The class of the cycle (1 2 ... k) is built once by `_order_class`, and
+    the class of a k-cycle (1 a_2 ... a_k) is that class relabelled by
+    i -> a_i.  Relabelling commutes with the circular order, so it maps the
+    one class onto the other bijectively; distinct k-cycles give disjoint
+    classes, and the (k-1)! of them hold (k-1)! * T = U trees, which is
+    every tree exactly once (Gessel's count).  Without an order the cycles
+    come in lexicographic order of (a_2, ..., a_k) and the whole is guarded
+    by U; with an order its cycle through 1 is the only one, guarded by T,
+    and a cycle shorter than k yields nothing."""
     _check_size(k, m)  # the trees are built trusted, so their size is checked here
     _guard("enumerate_trees", u_count(k, m) if order is None else t_count(k, m))
-    if order is not None:
+    if order is None:
+        cycles = ((1, *rest) for rest in itertools.permutations(range(2, k + 1)))
+    else:
         if not isinstance(order, CircularOrder):
             order = CircularOrder(tuple(order))
         if order.k != k or set(order.perm) != set(range(1, k + 1)):
             raise WrongCircularOrder(f"order {order.perm} is not a permutation of 1..{k}")
-        yield from sorted(_order_class(m, order), key=lambda t: t.edges)
-        return
-    cands = [
-        (u, v, c)
-        for u in range(1, k + 1)
-        for v in range(u + 1, k + 1)
-        for c in range(1, m + 1)
-    ]
-    need = k - 1
-    used_colours = [0] * (k + 1)  # bitmask of colours present at each vertex
-
-    def rec(start: int, chosen: list, parent: list) -> Iterator[ColouredTree]:
-        if len(chosen) == need:
-            # a proper tree: the colour masks keep the colouring proper, the
-            # union-find keeps it acyclic, and k - 1 edges connect it; the
-            # candidates are taken in canonical (u, v, colour) order
-            yield ColouredTree._trusted(k, m, tuple(chosen))
+        cycles = [order.cycle_of(1)]
+        if len(cycles[0]) != k:  # no k-cycle: no tree has this order
             return
-        remaining = need - len(chosen)
-        for idx in range(start, len(cands) - remaining + 1):
-            u, v, c = cands[idx]
-            bit = 1 << c
-            if used_colours[u] & bit or used_colours[v] & bit:
-                continue
-            ru, rv = u, v
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
-                continue
-            new_parent = parent.copy()
-            new_parent[ru] = rv
-            used_colours[u] |= bit
-            used_colours[v] |= bit
-            chosen.append((u, v, c))
-            yield from rec(idx + 1, chosen, new_parent)
-            chosen.pop()
-            used_colours[u] &= ~bit
-            used_colours[v] &= ~bit
-
-    yield from rec(0, [], list(range(k + 1)))
+    base = list(_order_class(m, CircularOrder((*range(2, k + 1), 1))))
+    for cycle in cycles:
+        label = (0, *cycle)
+        yield from sorted((_relabelled(t, label) for t in base), key=lambda t: t.edges)
 
 
 def enumerate_diagrams(
@@ -328,9 +307,8 @@ def enumerate_diagrams(
     duplicates.  Processes slots in position order; each slot is either left
     free or matched with a later slot carrying the same base (positions equal
     mod m)."""
-    if k < 1 or m < 1:
-        raise VertexOutOfRange("need k >= 1 and m >= 1")
-    _guard("enumerate_diagrams", _motzkin(k * m))
+    _check_size(k, m)
+    _guard("enumerate_diagrams", _motzkin(k * m, _work_limit()))
     n = k * m
 
     def slot(p: int) -> tuple[int, int]:

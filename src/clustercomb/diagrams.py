@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import _check_ints, _FromJson, _is_int
+from .core import _check_ints, _check_size, _FromJson, _is_int
 from .errors import (
     MalformedJSON,
     SelfArc,
@@ -54,8 +54,7 @@ class RnaDiagram(_FromJson):
     def __post_init__(self):
         _check_ints(k=self.k, m=self.m)
         object.__setattr__(self, "arcs", _normalise_arcs(self.m, self.arcs))
-        if self.k < 1 or self.m < 1:
-            raise VertexOutOfRange("need k >= 1 and m >= 1")
+        _check_size(self.k, self.m)
         used: set[Slot] = set()
         for (v1, r1), (v2, r2) in self.arcs:
             for v, r in ((v1, r1), (v2, r2)):

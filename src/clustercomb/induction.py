@@ -291,23 +291,15 @@ def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:
 
 
 def sigma_invariance_witness(
-    k: int,
-    m: int,
-    i: int,
-    j: int,
-    require_middle_free: bool = False,
+    k: int, m: int, i: int, j: int
 ) -> tuple[ColouredTree, Chain] | None:
     """Search all trees on (k, m) for a maximal S_i-S_j chain on which R_{i,j}
-    changes the circular order; returns the first witness or None.  With
-    require_middle_free=True only chains with no incident middle-colour
-    edges are tried (and no witness should exist)."""
+    changes the circular order; returns the first witness or None."""
     from .counting import enumerate_trees
 
     for tree in enumerate_trees(k, m):
         for c in maximal_chains(tree, i, j):
             if len(c.vertices) == 1:
-                continue
-            if require_middle_free and _middle_edge(tree, c):
                 continue
             t2 = apply_R(tree, c, i, j)
             if circular_order(t2) != circular_order(tree):

@@ -267,8 +267,10 @@ def induction_suite(k: int = 4, m: int = 3) -> list[Check]:
       circular order and L undoes R;
     - orbits are the circular-order classes of size T: for the first tree
       of each class, orbit() (built from shapes), the closure of the tree
-      under R_i steps (searched) and the class grouped from the unfiltered
-      enumerator are one set of size T, for k <= 4 (orbits grow as T);
+      under R_i steps (searched) and the class grouped from the enumerator
+      are one set of size T, for k <= 4 (orbits grow as T).  The enumerator
+      relabels the class that orbit() builds, so the R_i closure, which
+      builds no class, is the independent side;
     - normal form lands in {S_1, S_m} preserving sigma: the first tree at
       each k, its step list replayed;
     - two-colour line induction has order k: the line 1 - 2 - ... - k

@@ -1,5 +1,5 @@
 """The library boundary: every constructor checks the types of its own
-integer fields.
+integer fields, and so do the functions that take an edge argument.
 
 Each row builds one object with one field, or one entry of a tuple field,
 of a wrong type or width: a bool, a float, a numeric string or None where
@@ -19,6 +19,7 @@ from clustercomb.angulations import (
     MAngulation,
     RootedAngulation,
     colour_from_seed,
+    diagonal_rotate,
 )
 from clustercomb.bijections import PlaneTree
 from clustercomb.core import ColouredForest, ColouredTree, canonical_rooted, validate_tree
@@ -67,6 +68,9 @@ SCALARS = {
     "step i": ("i", 1, lambda x: InductionStep("R", x, 2, (1, 2))),
     "step j": ("j", 2, lambda x: InductionStep("R", 1, x, (1, 2))),
     "canonical_rooted root": ("root", 1, lambda x: canonical_rooted(TREE, x)),
+    "seed edge": ("seed_edge", 1, lambda x: colour_from_seed(ANG, (x, 2), 1)),
+    "seed colour": ("seed_colour", 1, lambda x: colour_from_seed(ANG, (1, 2), x)),
+    "rotated diagonal": ("diag", 1, lambda x: diagonal_rotate(ANG, (x, 3))),
 }
 
 
@@ -92,6 +96,11 @@ WIDTHS = {
     "label entry of three": (
         "labels", lambda: LabelledAngulation(COLOURED, (LABELS[0] + (5,), LABELS[1]))),
     "plane tree word None": ("word", lambda: PlaneTree(2, None)),
+    "seed edge of floats": ("seed_edge", lambda: colour_from_seed(ANG, (1.7, 2.2), 1)),
+    "seed edge of three": ("seed_edge", lambda: colour_from_seed(ANG, (1, 2, 3), 1)),
+    "rotated diagonal of floats": ("diag", lambda: diagonal_rotate(ANG, (1.7, 3.2))),
+    "rotated diagonal of strings": ("diag", lambda: diagonal_rotate(ANG, ("1", "3"))),
+    "rotated diagonal None": ("diag", lambda: diagonal_rotate(ANG, None)),
 }
 
 ROWS = [

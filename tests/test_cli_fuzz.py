@@ -233,6 +233,7 @@ def test_huge_m_is_refused(monkeypatch, argv, stdin):
 
 
 HUGE_K = '{"k":2000000,"m":3,"edges":[]}'
+HUGE_DIAGRAM = '{"k":2000000,"m":3,"arcs":[]}'
 
 
 @pytest.mark.parametrize(
@@ -242,8 +243,11 @@ HUGE_K = '{"k":2000000,"m":3,"edges":[]}'
         (["map", "forest->diagram"], HUGE_K),
         (["orbit"], HUGE_K),
         (["enumerate", "trees", "--k", "2000000", "--m", "3"], None),
+        (["map", "families:1->2"], HUGE_DIAGRAM),
+        (["map", "diagram->forest"], HUGE_DIAGRAM),
+        (["enumerate", "diagrams", "--k", "2000000", "--m", "3"], None),
     ],
-    ids=["export", "map", "orbit", "enumerate"],
+    ids=["export", "map", "orbit", "enumerate", "families", "diagram", "diagrams"],
 )
 def test_huge_k_is_refused(monkeypatch, argv, stdin):
     # a slot table of (k + 1)(m + 1) slots above the bound: a validation

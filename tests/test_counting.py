@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
-from clustercomb.core import CircularOrder, circular_order
+from clustercomb.core import CircularOrder, ColouredTree, circular_order
 from clustercomb.counting import (
+    DEFAULT_MAX_WORK,
     check_convolution,
     check_gkp_identity,
     check_recursion,
@@ -16,6 +18,7 @@ from clustercomb.counting import (
     u_count,
 )
 from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange, WrongCircularOrder
+from clustercomb.tables import U_TABLE
 
 
 def test_fuss_catalan_values():
@@ -75,6 +78,43 @@ def test_enumerate_trees_order_filter_partitions():
     assert all(len(v) == t_count(4, 3) for v in classes.values())
 
 
+def _grid():
+    """(k, m, U) at m = 3..6 for k <= 6 within the default work guard, and
+    at m = 2 and m = 1, each U from the tables or by hand."""
+    for m, row in U_TABLE.items():
+        for k, u in enumerate(row, 1):
+            if u <= DEFAULT_MAX_WORK:
+                yield k, m, u
+    for k in range(1, 7):
+        yield k, 2, math.factorial(k)
+    for k, u in zip((1, 2, 3), (1, 1, 0)):
+        yield k, 1, u
+
+
+@pytest.mark.parametrize("k,m,u", list(_grid()))
+def test_enumerate_trees_is_every_tree_once(k, m, u):
+    # pairwise distinct, each a proper tree, and U of them: every tree.
+    # Each tree is kept as its edges' bytes, which keeps the set small.
+    seen, n = set(), 0
+    for t in enumerate_trees(k, m):
+        assert t == ColouredTree(t.k, t.m, t.edges)
+        seen.add(bytes(itertools.chain.from_iterable(t.edges)))
+        n += 1
+    assert len(seen) == n == u
+
+
+@pytest.mark.parametrize("k,m", [(1, 3), (2, 1), (3, 1), (4, 2), (4, 3), (5, 3), (4, 4)])
+def test_enumerate_trees_is_its_classes_in_cycle_order(k, m):
+    # the classes of the k-cycles (1 a_2 ... a_k), in lexicographic order of
+    # (a_2, ..., a_k), one after the other, each as its order gives it
+    classes = [
+        t
+        for rest in itertools.permutations(range(2, k + 1))
+        for t in enumerate_trees(k, m, CircularOrder.from_cycle((1, *rest)))
+    ]
+    assert list(enumerate_trees(k, m)) == classes
+
+
 def test_enumerate_diagrams_counts():
     assert sum(1 for _ in enumerate_diagrams(1, 3)) == 1
     assert (
@@ -88,6 +128,19 @@ def test_enumerate_diagrams_counts():
         if all(r == 1 for arc in d.arcs for v, r in arc if v == 4)
     ]
     assert len(special) == s_count(3, 3) == 5
+
+
+def test_diagram_guard_stops_at_the_first_motzkin_number_above_the_limit(monkeypatch):
+    # Motzkin numbers increase, so M_17 = 2 356 779, the first above the
+    # default limit, refuses k m = 60 slots without computing M_60; and a
+    # slot table above the bound is refused before any Motzkin number
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    with pytest.raises(SizeLimitExceeded, match="output bound 2356779 exceeds work limit 1000000"):
+        next(enumerate_diagrams(20, 3))
+    with pytest.raises(SizeLimitExceeded, match="output bound 2356779 "):
+        next(enumerate_diagrams(800, 3))
+    with pytest.raises(VertexOutOfRange, match="^k = 2000000 at m = 3 needs 8000004 slots"):
+        next(enumerate_diagrams(2_000_000, 3))
 
 
 def test_enumerate_angulations_counts():

@@ -303,7 +303,15 @@ def test_witness_none_for_adjacent():
 
 
 def test_witness_none_on_middle_free_chains():
-    assert sigma_invariance_witness(5, 3, 1, 3, require_middle_free=True) is None
+    # R_{1,3} keeps the circular order on every (1,3) chain with no S_2 edge
+    # at it, over the range where it breaks on some other chain
+    tried = 0
+    for t in enumerate_trees(5, 3):
+        for c in maximal_chains(t, 1, 3):
+            if len(c.vertices) > 1 and not induction._middle_edge(t, c):
+                assert circular_order(apply_R(t, c, 1, 3)) == circular_order(t)
+                tried += 1
+    assert tried and sigma_invariance_witness(5, 3, 1, 3) is not None
 
 
 def test_witness_exists_for_1_3_at_k5():
