@@ -17,11 +17,12 @@ turn of a region (a union of faces) moves every vertex of the region's
 internal diagonals and faces to its predecessor in the region's cycle; a
 diagonal rotation is the turn of its (2m-2)-gon.  rotate_one_step realizes
 the turn of the whole polygon as an explicit sequence of diagonal rotations;
-induct_R_on_angulation implements chain induction on the polygon side, on
-a snake (a maximal S_i-S_{i+1} chain of the dual tree, read as faces), as a
-sequence of region turns (every S_{i+1}-coloured snake diagonal's
-(2m-2)-gon, then each subpolygon hanging off a non-rotated snake end
-together with that end's face).
+induct_R_on_angulation implements chain induction on a snake (a maximal
+S_i-S_{i+1} chain of the dual tree, read as faces) as region turns: first
+the (2m-2)-gon of every S_{i+1}-coloured snake diagonal, which is a diagonal
+rotation; then each subpolygon hanging off a non-rotated snake end, with
+that end's face, which is the whole-polygon turn of a smaller angulation.
+So induction is a composition of mutations.
 """
 from __future__ import annotations
 
@@ -652,7 +653,7 @@ def find_snakes(cang: ColouredAngulation, i: int, j: int) -> list[SnakePolygon]:
 
 
 def _induct_core(
-    cang: ColouredAngulation, snake: SnakePolygon, i: int, realize_rotations: bool
+    cang: ColouredAngulation, snake: SnakePolygon, i: int
 ) -> tuple[ColouredAngulation, dict[Face, Face]]:
     """Shared implementation of snake induction; returns the new coloured
     angulation and the map old face -> new face.
@@ -661,9 +662,13 @@ def _induct_core(
     (2m-2)-gon of every S_{i+1}-coloured snake diagonal; step 2 turns, at
     each snake end M that step 1 leaves in place, each subpolygon hanging
     off M together with M's current face, in clockwise slot order from the
-    snake diagonal.  With realize_rotations a step-2 turn is the rotation
-    sequence of _rotate_region instead of a direct move of its internal
-    diagonals, so the whole induction is a composition of mutations."""
+    snake diagonal, each internal diagonal moved straight to its place.
+
+    This is a composition of mutations: step 1 is _primitive_rotate calls;
+    a step-2 region is a union of fewer than k faces, and its turn is
+    shift(., -1) of the m-angulation it induces on its own vertices, which
+    rotate_one_step realizes as diagonal rotations; and each diagonal
+    rotation is a coloured-quiver mutation (tests/test_mutation.py)."""
     m, n = cang.m, cang.ang.n
     j = i + 1
     if not (1 <= i <= m - 1):
@@ -717,14 +722,11 @@ def _induct_core(
             arc = {(a - 1 + t) % n + 1 for t in range((b - a) % n + 1)}
             region = tuple(sorted(arc | set(face_map[M])))
             pos = {v: p for p, v in enumerate(region)}
-            if realize_rotations:
-                _rotate_region(work, m, region, [])
-            else:
-                inside = work.interior(pos)
-                for d in inside:
-                    work.remove(d)
-                for pa, pb in inside.values():
-                    work.add(_norm_edge(region[pa - 1], region[pb - 1]))
+            inside = work.interior(pos)
+            for d in inside:
+                work.remove(d)
+            for pa, pb in inside.values():
+                work.add(_norm_edge(region[pa - 1], region[pb - 1]))
             for old, cur in face_map.items():
                 if all(v in pos for v in cur):
                     face_map[old] = _turned(cur, region, pos)
@@ -739,26 +741,20 @@ def _induct_core(
 
 
 def induct_R_on_angulation(
-    cang: ColouredAngulation,
-    snake: SnakePolygon,
-    i: int,
-    realize_rotations: bool = False,
+    cang: ColouredAngulation, snake: SnakePolygon, i: int
 ) -> ColouredAngulation:
     """Snake induction on a diagonal-coloured angulation (the polygon form of
     R_i on the dual tree)."""
-    result, _ = _induct_core(cang, snake, i, realize_rotations)
+    result, _ = _induct_core(cang, snake, i)
     return result
 
 
 def induct_R_on_labelled_angulation(
-    lang: LabelledAngulation,
-    snake: SnakePolygon,
-    i: int,
-    realize_rotations: bool = False,
+    lang: LabelledAngulation, snake: SnakePolygon, i: int
 ) -> LabelledAngulation:
     """Snake induction on an m-gon-labelled angulation; labels travel with
     their faces."""
-    result, face_map = _induct_core(lang.base, snake, i, realize_rotations)
+    result, face_map = _induct_core(lang.base, snake, i)
     labels = tuple((face_map[f], l) for f, l in lang.labels)
     return LabelledAngulation(result, labels)
 

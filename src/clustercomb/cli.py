@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,7 +32,9 @@ from .diagrams import RnaDiagram
 from .errors import (
     ClustercombError,
     MalformedJSON,
+    SizeLimitExceeded,
     ValidationError,
+    VertexOutOfRange,
     WrongCircularOrder,
     WrongObjectType,
 )
@@ -46,32 +49,70 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _count_row(family: str, m: int, kmax: int) -> list[int]:
-    if family == "T":
-        return [cnt.t_count(k, m) for k in range(kmax + 1)]
-    if family == "S":
-        return [cnt.s_count(k, m) for k in range(kmax + 1)]
-    if family == "U":
-        return [cnt.u_count(k, m) for k in range(1, kmax + 1)]
-    if family == "fuss":
-        return [cnt.fuss_catalan(k, m) for k in range(kmax + 1)]
-    raise ValueError(family)
+# each family's entry at (k, m)
+_COUNTS = {"T": cnt.t_count, "S": cnt.s_count, "U": cnt.u_count, "fuss": cnt.fuss_catalan}
+
+
+def _log_falling(n: int, r: int) -> float:
+    """ln(n! / (n-r)!) for 0 <= r <= n, to within 0.01, by the difference of
+    Stirling's series for ln (n)! and ln (n-r)!, written so that it loses no
+    precision when n is much larger than r (lgamma's difference does)."""
+    a, b = n + 1, n - r + 1
+    return r * math.log(a) - (b - 0.5) * math.log1p(-r / a) - r + (1 / a - 1 / b) / 12
+
+
+def _log_binom(n: int, r: int) -> float:
+    return _log_falling(n, r) - _log_falling(r, r)
+
+
+# the natural log of each family's entry at k >= 2, m >= 2, where the
+# entries grow with k
+_LOG_COUNTS = {
+    "T": lambda k, m: math.log(m) - math.log((m - 2) * k + 2) + _log_binom((m - 1) * k, k - 1),
+    "S": lambda k, m: _log_binom((m - 1) * k, k) - math.log((m - 2) * k + 1),
+    "U": lambda k, m: math.log(m) + _log_falling((m - 1) * k, k - 2),
+    "fuss": lambda k, m: _log_binom(m * k, k) - math.log((m - 1) * k + 1),
+}
+
+
+def _row_ks(family: str, m: int, kmax: int) -> range:
+    """The k of a count row.  Before any entry is computed, a row is refused
+    when it would be empty or when its last entry, its largest, has more
+    digits than Python converts to text (sys.get_int_max_str_digits, 0 for
+    no limit); the digits come from a closed-form estimate, and from the
+    exact entry near the limit."""
+    ks = range(1 if family == "U" else 0, kmax + 1)
+    if not ks:
+        raise VertexOutOfRange(f"count {family} --kmax {kmax} gives an empty row")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or kmax < 2 or m < 2:  # entries at k <= 1 or m < 2 are 0 or 1
+        return ks
+    try:
+        digits = _LOG_COUNTS[family](kmax, m) / math.log(10) + 1
+    except OverflowError:  # k or m past the float range: only the entry tells
+        digits = limit
+    if digits > limit + 1 or (
+        digits > limit - 1 and _COUNTS[family](kmax, m) >= 10**limit
+    ):
+        raise SizeLimitExceeded(
+            f"count {family} --kmax {kmax} at m = {m}: its last entry has more "
+            f"than {limit} digits, Python's integer string conversion limit"
+        )
+    return ks
 
 
 def _cmd_count(args) -> int:
     tables = {"T": T_TABLE, "S": S_TABLE, "U": U_TABLE}
     status = 0
-    for m in args.m:
-        row = _count_row(args.family, m, args.kmax)
+    rows = [(m, _row_ks(args.family, m, args.kmax)) for m in args.m]
+    for m, ks in rows:
+        row = [_COUNTS[args.family](k, m) for k in ks]
         print("\t".join(str(v) for v in row))
         if args.check and args.family in tables:
             table = tables[args.family].get(m)
             if table is None:
                 continue
-            if args.family == "U":
-                ref = list(table[: args.kmax])
-            else:
-                ref = list(table[: args.kmax + 1])
+            ref = list(table[: len(ks)])  # tables start at the row's first k
             if row[: len(ref)] != ref:
                 print(f"mismatch against reference table at m={m}", file=sys.stderr)
                 status = 2

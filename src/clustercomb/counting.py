@@ -42,9 +42,19 @@ def _guard(kind: str, bound: int) -> None:
     limit = _work_limit()
     if bound > limit:
         raise SizeLimitExceeded(
-            f"{kind}: output bound {bound} exceeds work limit {limit} "
+            f"{kind}: output bound {_shown(bound)} exceeds work limit {limit} "
             "(set CLUSTERCOMB_MAX_WORK to override)"
         )
+
+
+def _shown(x: int) -> str:
+    """x written out when it has at most 40 digits, else its digit count,
+    found without str(x), which Python refuses past its integer string
+    conversion limit (4300 digits by default)."""
+    if x < 10**40:
+        return str(x)
+    d = int(x.bit_length() * math.log10(2))  # the digit count, or one less
+    return f"(a {d + (x >= 10**d)}-digit number)"
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -149,6 +159,23 @@ def check_gkp_identity(n: int, r: int, s: int, t: int) -> bool:
 
 
 # -- exhaustive generators --------------------------------------------------------
+
+def _involution_power(k: int, m: int, cap: int) -> int:
+    """I(k)^m, where I(k) counts the involutions of k points (A000085),
+    I(k) = I(k-1) + (k-1) I(k-2); or, as in _motzkin, the first term above
+    cap met on the way, which is no larger and is refused the same way."""
+    a, b = 1, 1  # I(0), I(1)
+    for i in range(2, k + 1):
+        if b > cap:
+            return b
+        a, b = b, b + (i - 1) * a
+    power = 1
+    for _ in range(m):
+        power *= b
+        if power > cap:
+            break
+    return power
+
 
 def _motzkin(n: int, cap: int) -> int:
     """Number of partial noncrossing matchings on n points; an upper bound on
@@ -306,9 +333,18 @@ def enumerate_diagrams(
     """Yield every RNA m-diagram of degree k matching the flags, without
     duplicates.  Processes slots in position order; each slot is either left
     free or matched with a later slot carrying the same base (positions equal
-    mod m)."""
+    mod m).
+
+    Arcs join slots of one base only, so a diagram is one partial matching
+    of each base's k slots: the walk visits I(k)^m diagrams, which is the
+    guard.  Only with noncrossing_only is the Motzkin number M_{km} a bound
+    too, and the guard is the smaller of the two."""
     _check_size(k, m)
-    _guard("enumerate_diagrams", _motzkin(k * m, _work_limit()))
+    limit = _work_limit()
+    bound = _involution_power(k, m, limit)
+    if noncrossing_only:
+        bound = min(bound, _motzkin(k * m, limit))
+    _guard("enumerate_diagrams", bound)
     n = k * m
 
     def slot(p: int) -> tuple[int, int]:
@@ -318,7 +354,9 @@ def enumerate_diagrams(
     arcs: list[tuple[int, int]] = []
 
     def rec(p: int) -> Iterator[RnaDiagram]:
-        while p <= n and taken[p]:
+        # a slot of the last degree has no later partner: it stays free
+        # without a recursion level, so the walk is at most (k-1)m deep
+        while p <= n and (taken[p] or p > n - m):
             p += 1
         if p > n:
             d = RnaDiagram(k, m, tuple((slot(a), slot(b)) for a, b in arcs))
@@ -357,9 +395,9 @@ def enumerate_angulations(k: int, m: int) -> Iterator[MAngulation]:
     The compositions (p_1, ..., p_{m-1}) come in lexicographic order (stars
     and bars), and the arcs' angulations combine with the first arc
     outermost."""
-    _guard("enumerate_angulations", s_count(k, m))
-    if m == 2:  # the 2-gon has one dissection, which is no 2-angulation
+    if m < 3 or k < 1:  # as MAngulation; the 2-gon's one dissection is no 2-angulation
         raise VertexOutOfRange("need m >= 3 and k >= 1")
+    _guard("enumerate_angulations", s_count(k, m))
 
     def gen(lo: int, f: int) -> Iterator[tuple[tuple[int, int], ...]]:
         for bars in itertools.combinations(range(f + m - 3), m - 2):

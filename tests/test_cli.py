@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -514,3 +515,60 @@ def test_verify_refuses_an_m_its_suite_cannot_take(capsys, suite, m, named):
     code, out, err = run(capsys, ["verify", suite, "--m", str(m)])
     assert code == 3 and out == ""
     assert err.startswith("validation error:") and named in err
+
+
+@pytest.fixture
+def str_digits_limit():
+    """Python's integer string conversion limit, set to its default 4300
+    digits for the test and restored after it."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        pytest.skip("this Python has no integer string conversion limit")
+    before = get()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["count", "U", "--kmax", "1311", "--m", "3"],
+         "count U --kmax 1311 at m = 3: its last entry has more than 4300 digits"),
+        (["count", "U", "--kmax", "1320", "--m", "3"], "count U --kmax 1320 at m = 3"),
+        (["count", "T", "--kmax", "7500", "--m", "3"], "count T --kmax 7500 at m = 3"),
+        (["count", "U", "--kmax", "1320", "--m", "2,3"], "count U --kmax 1320 at m = 3"),
+        (["count", "T", "--kmax", "-3"], "count T --kmax -3 gives an empty row"),
+        (["count", "U", "--kmax", "0"], "count U --kmax 0 gives an empty row"),
+        (["enumerate", "trees", "--k", "2000", "--m", "3"],
+         "enumerate_trees: output bound (a 6932-digit number) exceeds work limit 1000000"),
+        (["enumerate", "diagrams", "--k", "15", "--m", "1"],
+         "enumerate_diagrams: output bound 2390480 exceeds work limit 1000000"),
+        (["enumerate", "angulations", "--k", "0", "--m", "3"], "need m >= 3 and k >= 1"),
+    ],
+)
+def test_refused_before_any_output(capsys, monkeypatch, str_digits_limit, argv, named):
+    # exit 3 with one line on stderr and nothing on stdout, not a traceback
+    # (a count row or a bound past 4300 digits cannot be written with str)
+    # and not an empty row
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert named in err and len(err.splitlines()) == 1
+
+
+def test_count_rows_up_to_the_string_conversion_limit(capsys, str_digits_limit):
+    # U(1310, 3) has 4298 digits and U(1311, 3) has 4301; at a limit of
+    # 4298 digits the estimate leaves the 1310 row to the exact entry, and
+    # without a limit every row prints
+    from clustercomb.counting import u_count
+
+    for limit, kmax in ((4300, 1300), (4300, 1310), (4298, 1310), (0, 1320)):
+        sys.set_int_max_str_digits(limit)
+        code, out, _ = run(capsys, ["count", "U", "--kmax", str(kmax), "--m", "3"])
+        row = out.split("\t")
+        assert code == 0 and len(row) == kmax and row[-1] == f"{u_count(kmax, 3)}\n"
+    for limit, kmax in ((4300, 1311), (4297, 1310)):
+        sys.set_int_max_str_digits(limit)
+        code, out, _ = run(capsys, ["count", "U", "--kmax", str(kmax), "--m", "3"])
+        assert code == 3 and out == ""

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clustercomb import counting
 from clustercomb.core import CircularOrder, ColouredTree, circular_order
 from clustercomb.counting import (
     DEFAULT_MAX_WORK,
@@ -18,6 +19,7 @@ from clustercomb.counting import (
     u_count,
 )
 from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange, WrongCircularOrder
+from clustercomb.induction import orbit
 from clustercomb.tables import U_TABLE
 
 
@@ -132,15 +134,56 @@ def test_enumerate_diagrams_counts():
 
 def test_diagram_guard_stops_at_the_first_motzkin_number_above_the_limit(monkeypatch):
     # Motzkin numbers increase, so M_17 = 2 356 779, the first above the
-    # default limit, refuses k m = 60 slots without computing M_60; and a
-    # slot table above the bound is refused before any Motzkin number
+    # default limit, refuses k m = 60 noncrossing slots without computing
+    # M_60; without the flag the bound is I(k)^m, and I(14) = 2 390 480 is
+    # the first involution count above the limit; and a slot table above
+    # the bound is refused before any count
     monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
     with pytest.raises(SizeLimitExceeded, match="output bound 2356779 exceeds work limit 1000000"):
-        next(enumerate_diagrams(20, 3))
+        next(enumerate_diagrams(20, 3, noncrossing_only=True))
     with pytest.raises(SizeLimitExceeded, match="output bound 2356779 "):
-        next(enumerate_diagrams(800, 3))
+        next(enumerate_diagrams(800, 3, noncrossing_only=True))
+    with pytest.raises(SizeLimitExceeded, match="output bound 2390480 exceeds work limit 1000000"):
+        next(enumerate_diagrams(20, 3))
+    with pytest.raises(SizeLimitExceeded, match="output bound 2390480 "):
+        next(enumerate_diagrams(800, 3, connected_only=True))
     with pytest.raises(VertexOutOfRange, match="^k = 2000000 at m = 3 needs 8000004 slots"):
         next(enumerate_diagrams(2_000_000, 3))
+
+
+def test_unflagged_diagram_guard_is_the_exact_count(monkeypatch):
+    # arcs join slots of one base, so a diagram is one partial matching of
+    # each base's k slots: I(k)^m diagrams (I is A000085), the exact guard,
+    # which also bounds the connected ones
+    for k, m, count in ((3, 3, 64), (4, 2, 100), (8, 1, 764), (4, 3, 1000)):
+        monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", str(count))
+        assert sum(1 for _ in enumerate_diagrams(k, m)) == count
+        assert sum(1 for _ in enumerate_diagrams(k, m, connected_only=True)) < count
+        monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", str(count - 1))
+        with pytest.raises(SizeLimitExceeded, match=f"output bound {count} "):
+            next(enumerate_diagrams(k, m))
+    # M_15 = 310 572 admitted k = 15 at m = 1, which yields I(15) = 10 349 536;
+    # at k = 1 the one diagram has no arc, whatever m (M_m refused m >= 17)
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK")
+    with pytest.raises(SizeLimitExceeded, match="output bound 2390480 "):
+        next(enumerate_diagrams(15, 1))
+    assert [d.arcs for d in enumerate_diagrams(1, 1000)] == [()]
+
+
+def test_a_bound_past_40_digits_is_named_by_its_digit_count(monkeypatch):
+    # Python will not write an integer of more than 4300 digits as text,
+    # so the refusal counts the digits: U(2000, 3) has 6932, and T passes
+    # 4300 digits near k = 7200 at m = 3
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    assert counting._shown(10**40 - 1) == "9" * 40
+    assert [counting._shown(x) for x in (10**40, 2**136, 2**137, 10**41 - 1, 10**5000)] == [
+        f"(a {d}-digit number)" for d in (41, 41, 42, 41, 5001)
+    ]
+    with pytest.raises(SizeLimitExceeded, match=r"output bound \(a 6932-digit number\) exceeds"):
+        next(enumerate_trees(2000, 3))
+    path = ColouredTree(7500, 3, tuple((v, v + 1, 1 + v % 2) for v in range(1, 7500)))
+    with pytest.raises(SizeLimitExceeded, match=r"^orbit: output bound \(a \d+-digit number\)"):
+        orbit(path)
 
 
 def test_enumerate_angulations_counts():
