@@ -2,12 +2,14 @@
 
 Polygon vertices are 1..n clockwise.  A valid m-angulation has exactly k-1
 pairwise noncrossing diagonals cutting the polygon into k m-gon faces; every
-diagonal cuts off arcs of length 1 mod (m-2).  Faces are stored as ascending
-vertex tuples; ascending order is the clockwise order around the polygon.
+diagonal cuts off arcs of length 1 mod (m-2).  One structure reads faces,
+_Dissection: each vertex's neighbours in clockwise order, a face walked by
+stepping to the neighbour after the one it came from.  Faces are stored as
+ascending vertex tuples, which is their clockwise order.
 
 A diagonal-coloured angulation colours every edge (boundary sides and
 diagonals) so that each face reads S_1, S_2, ..., S_m in clockwise order;
-a colouring is determined by the colour of any single edge.  Rooted and
+a colouring is fixed by any one edge's colour, vertex by vertex.  Rooted and
 m-gon-labelled variants carry a distinguished face, respectively a bijection
 faces -> 1..k.
 
@@ -27,6 +29,8 @@ So induction is a composition of mutations.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -49,44 +53,6 @@ Diagonal = tuple[int, int]
 Face = tuple[int, ...]
 
 
-def _split_faces(region: tuple[int, ...], diags: Iterable[Diagonal]) -> list[Face]:
-    """Faces of the dissection a set of noncrossing chords induces on a
-    cyclically ordered region, in one stack pass: a chord from an earlier
-    position q closes the face of q, the positions stacked above it and the
-    current one (innermost chord first); what stays stacked is the last face."""
-    pos = {v: idx for idx, v in enumerate(region)}
-    ln = len(region)
-    back: dict[int, set[int]] = {}
-    for a, b in diags:
-        pa, pb = pos.get(a), pos.get(b)
-        if pa is None or pb is None:
-            continue
-        if pa > pb:
-            pa, pb = pb, pa
-        if pb - pa != 1 and not (pa == 0 and pb == ln - 1):
-            back.setdefault(pb, set()).add(pa)
-    out: list[Face] = []
-    stack: list[int] = []
-    depth = [0] * ln  # index of each position on the stack when pushed
-    for p in range(ln):
-        for q in sorted(back.get(p, ()), reverse=True):
-            out.append(tuple(sorted([region[x] for x in stack[depth[q] :]] + [region[p]])))
-            del stack[depth[q] + 1 :]
-        depth[p] = len(stack)
-        stack.append(p)
-    out.append(tuple(sorted(region[x] for x in stack)))
-    return out
-
-
-def _face_edge_cycle(face: Face) -> list[Diagonal]:
-    """Edges of a face in clockwise cyclic order (ascending vertices + wrap)."""
-    m = len(face)
-    return [
-        (face[t], face[(t + 1) % m]) if t + 1 < m else (face[0], face[m - 1])
-        for t in range(m)
-    ]
-
-
 def _norm_edge(a: int, b: int) -> Diagonal:
     return (a, b) if a < b else (b, a)
 
@@ -101,6 +67,13 @@ def _checked_edge(name: str, edge) -> Sequence[int]:
 
 @dataclass(frozen=True)
 class MAngulation(_FromJson):
+    """k-1 noncrossing diagonals of the n-gon, each cutting off arcs of
+    length 1 mod (m-2).  No face is read to check that every face is an
+    m-gon, since these checks imply it: a face with s vertices has s
+    clockwise gaps, each 1 mod (m-2) (a side, or a diagonal's arc), summing
+    to n = 2 mod (m-2), so s = 2 mod (m-2) and s >= m; and the k faces'
+    sizes sum to n + 2(k-1) = mk, so each has exactly m vertices."""
+
     m: int
     k: int
     diagonals: tuple[Diagonal, ...]
@@ -142,19 +115,23 @@ class MAngulation(_FromJson):
                 c, d = enclosing[-1]
                 raise DiagonalsCross(f"[{c},{d}] crosses [{a},{b}]")
             enclosing.append((a, b))
-        for f in self.faces:
-            if len(f) != self.m:
-                raise WrongFaceShape(f"face {f} is not an {self.m}-gon")
 
     @property
     def n(self) -> int:
         return (self.m - 2) * self.k + 2
 
     @cached_property
+    def _dissection(self) -> _Dissection:
+        """Read-only: the face lookups and colourings read it."""
+        return _Dissection(self.n, self.diagonals)
+
+    @cached_property
+    def _face_of(self) -> dict[tuple[int, int], Face]:
+        return self._dissection.trace()
+
+    @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(
-            sorted(_split_faces(tuple(range(1, self.n + 1)), self.diagonals))
-        )
+        return tuple(sorted(set(self._face_of.values())))
 
     def is_boundary(self, edge: Diagonal) -> bool:
         a, b = edge
@@ -167,19 +144,16 @@ class MAngulation(_FromJson):
 
     @cached_property
     def diagonal_faces(self) -> dict[Diagonal, tuple[Face, Face]]:
-        by_diag: dict[Diagonal, list[Face]] = {d: [] for d in self.diagonals}
-        for f in self.faces:
-            for e in _face_edge_cycle(f):
-                if e in by_diag:
-                    by_diag[e].append(f)
-        return {d: (fs[0], fs[1]) for d, fs in by_diag.items()}
+        f = self._face_of
+        return {(a, b): tuple(sorted((f[a, b], f[b, a]))) for a, b in self.diagonals}
 
     def face_with_edge(self, edge: Diagonal) -> Face:
-        edge = _norm_edge(*edge)
-        for f in self.faces:
-            if edge in _face_edge_cycle(f):
-                return f
-        raise NotADiagonal(f"{edge} is not an edge of the dissection")
+        """The least face on an edge, a lookup in the trace."""
+        a, b = _norm_edge(*edge)
+        found = [f for f in (self._face_of.get((a, b)), self._face_of.get((b, a))) if f]
+        if not found:
+            raise NotADiagonal(f"{(a, b)} is not an edge of the dissection")
+        return min(found)
 
     def to_json(self) -> str:
         return _encode(self.m, self.k, self.diagonals)
@@ -242,7 +216,10 @@ def _int_map(entries, field: str, width: int | None) -> dict[tuple[int, ...], in
 class ColouredAngulation(_FromJson):
     """A diagonal-coloured m-angulation; ``colours`` maps every edge of the
     dissection (sides and diagonals) to a symbol so that each face reads
-    S_1..S_m clockwise."""
+    S_1..S_m clockwise.  Such a colouring is _vertex_rule of its side
+    (1, 2), which the check compares it with: each face at v enters v on
+    the earlier of two consecutive edges in v's clockwise order and leaves
+    on the later, so the later one carries the next colour."""
 
     ang: MAngulation
     colours: tuple[tuple[Diagonal, int], ...]
@@ -250,18 +227,13 @@ class ColouredAngulation(_FromJson):
     def __post_init__(self):
         cmap = _int_map(self.colours, "colours", 2)
         object.__setattr__(self, "colours", tuple(cmap.items()))
-        expected = set(self.ang.edges())
-        if set(cmap) != expected:
+        if set(cmap) != set(self.ang.edges()):
             raise WrongFaceShape("colouring must cover exactly the dissection's edges")
-        m = self.ang.m
-        for f in self.ang.faces:
-            cyc = _face_edge_cycle(f)
-            cols = [cmap[e] for e in cyc]
-            for t in range(m):
-                if cols[(t + 1) % m] != cols[t] % m + 1:
-                    raise WrongFaceShape(
-                        f"face {f} does not read S_1..S_m clockwise: {cols}"
-                    )
+        rule = _vertex_rule(self.ang, cmap[1, 2])
+        if rule != cmap:
+            e = min(e for e in cmap if rule[e] != cmap[e])
+            raise WrongFaceShape(f"faces do not read S_1..S_m clockwise: edge {e} has "
+                                 f"S_{cmap[e]}, side (1, 2) forces S_{rule[e]}")
 
     @cached_property
     def colour(self) -> dict[Diagonal, int]:
@@ -337,83 +309,87 @@ def colour_from_seed(
     ang: MAngulation, seed_edge: Sequence[int], seed_colour: int
 ) -> ColouredAngulation:
     """The unique colouring extending seed_edge -> seed_colour under the
-    clockwise S_1..S_m rule.  Propagation over the tree of faces is always
-    consistent."""
+    clockwise S_1..S_m rule: the vertex rule, every colour shifted by one
+    offset."""
     _check_ints(seed_colour=seed_colour)
     if not (1 <= seed_colour <= ang.m):
         raise SymbolOutOfRange(f"seed colour S_{seed_colour} out of range")
     seed = _norm_edge(*_checked_edge("seed_edge", seed_edge))
-    cmap: dict[Diagonal, int] = {seed: seed_colour}
-    start = ang.face_with_edge(seed)
-    todo = [start]
-    done = set()
-    while todo:
-        f = todo.pop()
-        if f in done:
-            continue
-        done.add(f)
-        cyc = _face_edge_cycle(f)
-        known = next(t for t, e in enumerate(cyc) if e in cmap)
-        base = cmap[cyc[known]]
-        for off in range(1, ang.m):
-            e = cyc[(known + off) % ang.m]
-            cmap[e] = (base - 1 + off) % ang.m + 1
-        for e in cyc:
-            if e in ang.diagonal_faces:
-                f1, f2 = ang.diagonal_faces[e]
-                todo.append(f2 if f1 == f else f1)
-    return ColouredAngulation(ang, tuple(cmap.items()))
+    rule = _vertex_rule(ang, 1)
+    if seed not in rule:
+        raise NotADiagonal(f"{seed} is not an edge of the dissection")
+    off = seed_colour - rule[seed]
+    return ColouredAngulation(ang, tuple((e, (c + off - 1) % ang.m + 1) for e, c in rule.items()))
 
 
 def all_colourings(ang: MAngulation) -> list[ColouredAngulation]:
-    """Exactly m colourings exist per angulation, one per seed colour."""
-    seed = (1, 2)
-    return [colour_from_seed(ang, seed, c) for c in range(1, ang.m + 1)]
+    """Exactly m colourings exist per angulation, one per colour of side
+    (1, 2)."""
+    return [ColouredAngulation(ang, tuple(_vertex_rule(ang, c).items())) for c in range(1, ang.m + 1)]
+
+
+def _vertex_rule(ang: MAngulation, c: int) -> dict[Diagonal, int]:
+    """The colouring with side (1, 2) coloured c.  Take v = 2, ..., n, 1 in
+    turn: the diagonals at v, in decreasing (w - v) mod n, take the colours
+    after side (v-1, v), and side (v, v+1) the one after those (a diagonal
+    is coloured at both ends, alike when the colouring exists)."""
+    m, n, gaps = ang.m, ang.n, ang._dissection.gaps
+    out: dict[Diagonal, int] = {}
+    for v in (*range(2, n + 1), 1):
+        for i, g in enumerate(gaps[v]):
+            w = (v - g - 1) % n + 1
+            out[(v, w) if v < w else (w, v)] = (c + i - 1) % m + 1
+        c = (c + len(gaps[v]) - 2) % m + 1
+    return out
 
 
 # -- rotation machinery ------------------------------------------------------------
 
 class _Dissection:
-    """A mutable set of noncrossing diagonals of the n-gon with, per vertex,
-    the set of its diagonal neighbours, so that the face beside a diagonal is
-    read by walking neighbours instead of splitting the polygon."""
+    """A mutable set of noncrossing diagonals of the n-gon, the one
+    structure that reads faces.  gaps[v] holds, ascending, the distances
+    (v - w) mod n of v's neighbours w, polygon sides included: its
+    neighbours in clockwise order, from v-1 (gap 1) through the diagonals
+    to v+1 (gap n-1).  A face is walked clockwise by one rule: at a,
+    entered from p, step to the neighbour after p."""
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         self.n = n
-        self.diags = set(diagonals)
-        self.nbr: list[set[int]] = [set() for _ in range(n + 1)]
-        for a, b in self.diags:
-            self.nbr[a].add(b)
-            self.nbr[b].add(a)
+        self.diags: set[Diagonal] = set()
+        self.gaps: list[list[int]] = [[]] + [[1, n - 1] for _ in range(n)]
+        for d in diagonals:
+            self.add(d)
 
     def add(self, d: Diagonal) -> None:
         self.diags.add(d)
-        self.nbr[d[0]].add(d[1])
-        self.nbr[d[1]].add(d[0])
+        for a, b in (d, d[::-1]):
+            insort(self.gaps[a], (a - b) % self.n)
 
     def remove(self, d: Diagonal) -> None:
         self.diags.remove(d)
-        self.nbr[d[0]].discard(d[1])
-        self.nbr[d[1]].discard(d[0])
+        for a, b in (d, d[::-1]):
+            self.gaps[a].remove((a - b) % self.n)
 
-    def face_side(self, a: int, b: int) -> list[int]:
-        """The face beside diagonal [a,b] on the clockwise arc from a to b, as
-        its vertices in clockwise order from a to b: from each vertex the
-        walk takes its farthest neighbour (diagonal or polygon side) still on
-        the arc, never [a,b] itself; O(m * degree)."""
-        n = self.n
-        span = (b - a) % n
-        walk = [a]
-        v, off = a, 0
-        while v != b:
-            nxt, far = v % n + 1, off + 1
-            for w in self.nbr[v]:
-                o = (w - a) % n
-                if far < o < span or (o == span and v != a):
-                    nxt, far = w, o
-            walk.append(nxt)
-            v, off = nxt, far
-        return walk
+    def turn(self, a: int, p: int, step: int = 1) -> int:
+        """The neighbour of a `step` places after its neighbour p."""
+        gs = self.gaps[a]
+        return (a - gs[bisect_left(gs, (a - p) % self.n) + step] - 1) % self.n + 1
+
+    def trace(self) -> dict[tuple[int, int], Face]:
+        """The face of each directed edge a face walks (the sides v -> v+1
+        and n -> 1, each diagonal both ways).  Each face is walked once, in
+        ascending order from its least vertex v, where its angle p, v, q
+        is the one with p, q > v (both gaps at least v)."""
+        n, face_of = self.n, {}
+        for v, gs in enumerate(self.gaps):
+            for g in gs[bisect_left(gs, v) + 1 :]:
+                walk, a, w = [v], v, (v - g - 1) % n + 1
+                while w != v:
+                    walk.append(w)
+                    a, w = w, self.turn(w, a)
+                face = tuple(walk)
+                face_of.update(dict.fromkeys(zip(face, (*face[1:], v)), face))
+        return face_of
 
     def interior(self, pos: dict[int, int]) -> dict[Diagonal, tuple[int, int]]:
         """The diagonals inside a region whose vertices have the cyclic
@@ -436,8 +412,9 @@ def _primitive_rotate(dis: _Dissection, d: Diagonal) -> Diagonal:
         raise NotADiagonal(f"{d} is not a diagonal of the dissection")
     a, b = d
     # clockwise, the merged (2m-2)-gon reads the face on the arc a..b, then
-    # the face on the arc b..a; each end of d moves to its predecessor there
-    new_d = _norm_edge(dis.face_side(b, a)[-2], dis.face_side(a, b)[-2])
+    # the face on the arc b..a; each end of d moves to its predecessor
+    # there, its neighbour before the other end
+    new_d = _norm_edge(dis.turn(a, b, -1), dis.turn(b, a, -1))
     dis.remove(d)
     dis.add(new_d)
     return new_d
@@ -548,13 +525,10 @@ def rotate_one_step(ang: MAngulation) -> tuple[MAngulation, tuple[Diagonal, ...]
 
 
 def boundary_face_count(ang: MAngulation) -> int:
-    """Number of faces with exactly m-1 polygon-boundary sides."""
-    count = 0
-    for f in ang.faces:
-        sides = sum(1 for e in _face_edge_cycle(f) if ang.is_boundary(e))
-        if sides == ang.m - 1:
-            count += 1
-    return count
+    """Number of faces with exactly m-1 polygon-boundary sides: the faces
+    on exactly one diagonal."""
+    on = Counter(f for fs in ang.diagonal_faces.values() for f in fs)
+    return list(on.values()).count(1)
 
 
 # -- canonical rotation --------------------------------------------------------------
@@ -708,13 +682,10 @@ def _induct_core(
 
     # Step 2: at each snake end whose snake diagonal keeps its place (colour
     # S_i), turn every hanging subpolygon together with the end's face.
-    ends = []
-    if cols[0] == i:
-        ends.append((faces[0], diags_between[0]))
-    if cols[-1] == i:
-        ends.append((faces[-1], diags_between[-1]))
+    ends = [(faces[t], diags_between[t]) for t in (0, -1) if cols[t] == i]
     for M, e in ends:
-        s = _face_edge_cycle(M).index(e)
+        # the slot of e in M's clockwise edges (M[t], M[t+1]), then (M[0], M[-1])
+        s = m - 1 if e == (M[0], M[-1]) else M.index(e[0])
         for r in range(1, m):
             a, b = M[(s + r) % m], M[(s + r + 1) % m]  # clockwise side a -> b
             if _norm_edge(a, b) not in work.diags:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -49,32 +48,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-# each family's entry at (k, m)
-_COUNTS = {"T": cnt.t_count, "S": cnt.s_count, "U": cnt.u_count, "fuss": cnt.fuss_catalan}
-
-
-def _log_falling(n: int, r: int) -> float:
-    """ln(n! / (n-r)!) for 0 <= r <= n, to within 0.01, by the difference of
-    Stirling's series for ln (n)! and ln (n-r)!, written so that it loses no
-    precision when n is much larger than r (lgamma's difference does)."""
-    a, b = n + 1, n - r + 1
-    return r * math.log(a) - (b - 0.5) * math.log1p(-r / a) - r + (1 / a - 1 / b) / 12
-
-
-def _log_binom(n: int, r: int) -> float:
-    return _log_falling(n, r) - _log_falling(r, r)
-
-
-# the natural log of each family's entry at k >= 2, m >= 2, where the
-# entries grow with k
-_LOG_COUNTS = {
-    "T": lambda k, m: math.log(m) - math.log((m - 2) * k + 2) + _log_binom((m - 1) * k, k - 1),
-    "S": lambda k, m: _log_binom((m - 1) * k, k) - math.log((m - 2) * k + 1),
-    "U": lambda k, m: math.log(m) + _log_falling((m - 1) * k, k - 2),
-    "fuss": lambda k, m: _log_binom(m * k, k) - math.log((m - 1) * k + 1),
-}
-
-
 def _row_ks(family: str, m: int, kmax: int) -> range:
     """The k of a count row.  Before any entry is computed, a row is refused
     when it would be empty or when its last entry, its largest, has more
@@ -87,12 +60,10 @@ def _row_ks(family: str, m: int, kmax: int) -> range:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or kmax < 2 or m < 2:  # entries at k <= 1 or m < 2 are 0 or 1
         return ks
-    try:
-        digits = _LOG_COUNTS[family](kmax, m) / math.log(10) + 1
-    except OverflowError:  # k or m past the float range: only the entry tells
-        digits = limit
+    est = cnt._log10_count(family, kmax, m)  # None past the float range
+    digits = limit if est is None else est + 1
     if digits > limit + 1 or (
-        digits > limit - 1 and _COUNTS[family](kmax, m) >= 10**limit
+        digits > limit - 1 and cnt._COUNTS[family](kmax, m) >= 10**limit
     ):
         raise SizeLimitExceeded(
             f"count {family} --kmax {kmax} at m = {m}: its last entry has more "
@@ -106,7 +77,7 @@ def _cmd_count(args) -> int:
     status = 0
     rows = [(m, _row_ks(args.family, m, args.kmax)) for m in args.m]
     for m, ks in rows:
-        row = [_COUNTS[args.family](k, m) for k in ks]
+        row = [cnt._COUNTS[args.family](k, m) for k in ks]
         print("\t".join(str(v) for v in row))
         if args.check and args.family in tables:
             table = tables[args.family].get(m)

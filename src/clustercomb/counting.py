@@ -9,7 +9,8 @@ non-exact division in a closed form is treated as a bug and raises.
 The generators are desk-scale tools.  Each call estimates the size of its
 output from a closed-form bound and refuses runs whose bound exceeds the
 work limit (default 1_000_000 objects, overridable through the
-CLUSTERCOMB_MAX_WORK environment variable).
+CLUSTERCOMB_MAX_WORK environment variable), or whose trees' edge entries
+exceed ten times it.
 """
 from __future__ import annotations
 
@@ -38,12 +39,31 @@ def _work_limit() -> int:
         raise ValidationError(f"CLUSTERCOMB_MAX_WORK must be an integer, got {env!r}") from None
 
 
-def _guard(kind: str, bound: int) -> None:
+def _guard(kind: str, bound: int | tuple[str, int, int], width: int = 0) -> None:
+    """Refuse, before any work, more objects than the work limit, or more
+    edge entries, `width` per object, than ten times it.  The bound is an
+    int or a (family, k, m) key of _COUNTS, whose count is computed only
+    when its estimate is within a digit of the limit or of 41 digits, or
+    leaves its digit count open."""
     limit = _work_limit()
-    if bound > limit:
+    shown = None
+    if isinstance(bound, tuple):
+        est = _log10_count(*bound)
+        near = max(41, math.log10(max(limit, 1)) + 1)
+        if est is None or est < near or abs(est - round(est)) < 0.01:
+            bound = _COUNTS[bound[0]](*bound[1:])
+        else:
+            shown = f"(a {math.floor(est) + 1}-digit number)"
+    if shown or bound > limit:
         raise SizeLimitExceeded(
-            f"{kind}: output bound {_shown(bound)} exceeds work limit {limit} "
+            f"{kind}: output bound {shown or _shown(bound)} exceeds work limit {limit} "
             "(set CLUSTERCOMB_MAX_WORK to override)"
+        )
+    if bound * width > 10 * limit:
+        raise SizeLimitExceeded(
+            f"{kind}: {_shown(bound * width)} edge entries ({bound} objects of {width} "
+            f"edges) exceed 10 times the work limit {limit} (set CLUSTERCOMB_MAX_WORK "
+            "to override)"
         )
 
 
@@ -105,6 +125,42 @@ def u_count(k: int, m: int) -> int:
     if k < 1 or m < 1:
         raise VertexOutOfRange(f"U_(k,m) needs k >= 1 and m >= 1, got ({k},{m})")
     return 1 if k == 1 else m * math.perm((m - 1) * k, k - 2)
+
+
+# each family's entry at (k, m)
+_COUNTS = {"T": t_count, "S": s_count, "U": u_count, "fuss": fuss_catalan}
+
+
+def _log_falling(n: int, r: int) -> float:
+    """ln(n! / (n-r)!) for 0 <= r <= n, to within 0.01, by the difference of
+    Stirling's series for ln (n)! and ln (n-r)!, written so that it loses no
+    precision when n is much larger than r (lgamma's difference does)."""
+    a, b = n + 1, n - r + 1
+    return r * math.log(a) - (b - 0.5) * math.log1p(-r / a) - r + (1 / a - 1 / b) / 12
+
+
+def _log_binom(n: int, r: int) -> float:
+    return _log_falling(n, r) - _log_falling(r, r)
+
+
+# the natural log of each family's entry at k >= 2, m >= 2, where the
+# entries grow with k
+_LOG_COUNTS = {
+    "T": lambda k, m: math.log(m) - math.log((m - 2) * k + 2) + _log_binom((m - 1) * k, k - 1),
+    "S": lambda k, m: _log_binom((m - 1) * k, k) - math.log((m - 2) * k + 1),
+    "U": lambda k, m: math.log(m) + _log_falling((m - 1) * k, k - 2),
+    "fuss": lambda k, m: _log_binom(m * k, k) - math.log((m - 1) * k + 1),
+}
+
+
+def _log10_count(family: str, k: int, m: int) -> float | None:
+    """log10 of the family's entry at (k, m), to within 0.005, without
+    computing it; None at k < 2 or m < 2, where entries are 0 or 1, and
+    past the float range."""
+    try:
+        return _LOG_COUNTS[family](k, m) / math.log(10) if k >= 2 and m >= 2 else None
+    except OverflowError:
+        return None
 
 
 # -- identities ------------------------------------------------------------------
@@ -307,7 +363,7 @@ def enumerate_trees(
     by U; with an order its cycle through 1 is the only one, guarded by T,
     and a cycle shorter than k yields nothing."""
     _check_size(k, m)  # the trees are built trusted, so their size is checked here
-    _guard("enumerate_trees", u_count(k, m) if order is None else t_count(k, m))
+    _guard("enumerate_trees", ("U" if order is None else "T", k, m), k - 1)
     if order is None:
         cycles = ((1, *rest) for rest in itertools.permutations(range(2, k + 1)))
     else:
@@ -397,7 +453,7 @@ def enumerate_angulations(k: int, m: int) -> Iterator[MAngulation]:
     outermost."""
     if m < 3 or k < 1:  # as MAngulation; the 2-gon's one dissection is no 2-angulation
         raise VertexOutOfRange("need m >= 3 and k >= 1")
-    _guard("enumerate_angulations", s_count(k, m))
+    _guard("enumerate_angulations", ("S", k, m))
 
     def gen(lo: int, f: int) -> Iterator[tuple[tuple[int, int], ...]]:
         for bars in itertools.combinations(range(f + m - 3), m - 2):

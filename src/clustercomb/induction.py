@@ -32,7 +32,7 @@ from .core import (
     circular_order,
     maximal_chains,
 )
-from .counting import _guard, _order_class, t_count
+from .counting import _guard, _order_class
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -201,7 +201,7 @@ def normal_form(tree: ColouredTree) -> tuple[ColouredTree, list[InductionStep]]:
     The searches stay inside the tree's class of T_{k,m} trees, so it is
     refused before any step when that exceeds the CLUSTERCOMB_MAX_WORK work
     limit."""
-    _guard("normal_form", t_count(tree.k, tree.m))
+    _guard("normal_form", ("T", tree.k, tree.m))
     m = tree.m
     steps: list[InductionStep] = []
     cur = tree
@@ -277,9 +277,10 @@ def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
     sharing its circular order: built shape by shape by
     `counting._order_class`, with no R/L step taken.  The class has T_{k,m}
     members and is refused before any is built when that exceeds the
-    CLUSTERCOMB_MAX_WORK work limit.  The verify suite's induction check
-    compares it with the R_i closure of the tree."""
-    _guard("orbit", t_count(tree.k, tree.m))
+    CLUSTERCOMB_MAX_WORK work limit, or their T(k-1) edges ten times it.
+    The verify suite's induction check compares it with the R_i closure of
+    the tree."""
+    _guard("orbit", ("T", tree.k, tree.m), tree.k - 1)
     return frozenset(_order_class(tree.m, circular_order(tree)))
 
 

@@ -39,6 +39,7 @@ from clustercomb.errors import (
     NotADiagonal,
     NotASnake,
     WrongDiagonalCount,
+    WrongFaceShape,
 )
 from clustercomb.induction import apply_R
 from clustercomb.verify import angulation_suite
@@ -268,8 +269,6 @@ def _kept_end_hanging_counts(ca, s, i):
     """For each end of snake s whose snake diagonal is S_i-coloured (the ends
     where induction turns hanging subpolygons), the number of its other sides
     that are diagonals, i.e. of subpolygons hanging off it."""
-    from clustercomb.angulations import _face_edge_cycle
-
     faces = s.faces
     if len(faces) < 2:
         return []
@@ -286,7 +285,7 @@ def _kept_end_hanging_counts(ca, s, i):
         ends.append((faces[-1], shared(faces[-2], faces[-1])))
     diags = set(ca.ang.diagonals)
     return [
-        sum(1 for e in _face_edge_cycle(M) if e != d and e in diags)
+        sum(1 for e in _ref_edge_cycle(M) if e != d and e in diags)
         for M, d in ends
     ]
 
@@ -378,6 +377,33 @@ def _ref_split_faces(region, diags):
     return out
 
 
+def _ref_edge_cycle(face):
+    """Reference: a face's edges in clockwise order, from its least vertex."""
+    m = len(face)
+    return [(face[t], face[t + 1]) for t in range(m - 1)] + [(face[0], face[-1])]
+
+
+def _ref_colour_from_seed(ang, seed, colour):
+    """Reference: the colouring found face by face, depth first from the
+    face of the seed edge, each face reading S_1..S_m clockwise."""
+    on = {}  # the faces on each edge
+    for f in _ref_split_faces(tuple(range(1, ang.n + 1)), ang.diagonals):
+        for e in _ref_edge_cycle(f):
+            on.setdefault(e, []).append(f)
+    cmap, todo, done = {seed: colour}, [on[seed][0]], set()
+    while todo:
+        f = todo.pop()
+        if f in done:
+            continue
+        done.add(f)
+        cyc = _ref_edge_cycle(f)
+        known = next(t for t, e in enumerate(cyc) if e in cmap)
+        for off in range(1, ang.m):
+            cmap[cyc[(known + off) % ang.m]] = (cmap[cyc[known]] - 1 + off) % ang.m + 1
+        todo += [g for e in cyc for g in on[e] if g not in done]
+    return cmap
+
+
 def _ref_crossing(diags):
     """Reference: the first crossing pair in sorted order, or None."""
     diags = sorted(diags)
@@ -443,23 +469,80 @@ def _kernel_cases():
         yield labelled_tree_to_labelled_angulation(random_tree(rng, k, m))
 
 
-def test_split_faces_matches_reference():
-    rng = random.Random(77)
+def test_faces_match_reference():
+    # one trace of the dissection gives the faces and each diagonal's two
+    # faces; the reference cuts the polygon recursively
     for lang in _kernel_cases():
         ang = lang.base.ang
-        region = tuple(range(1, ang.n + 1))
-        assert set(angulations._split_faces(region, ang.diagonals)) == set(
-            _ref_split_faces(region, ang.diagonals)
+        ref = sorted(_ref_split_faces(tuple(range(1, ang.n + 1)), ang.diagonals))
+        assert ang.faces == tuple(ref)
+        assert list(ang.diagonal_faces) == list(ang.diagonals)
+        for d, (f, g) in ang.diagonal_faces.items():
+            assert f < g and [h for h in ref if d in _ref_edge_cycle(h)] == [f, g]
+        for e in ang.edges():
+            assert ang.face_with_edge(e) == min(h for h in ref if e in _ref_edge_cycle(h))
+        assert angulations.boundary_face_count(ang) == sum(
+            1 for h in ref if sum(map(ang.is_boundary, _ref_edge_cycle(h))) == ang.m - 1
         )
-        # a sub-region cut off by a diagonal, given as a wrapped cycle, with
-        # chords that leave it and chords along its sides mixed in
-        for a, b in ang.diagonals[:3]:
-            sub = tuple(range(b, ang.n + 1)) + tuple(range(1, a + 1))
-            diags = list(ang.diagonals)
-            rng.shuffle(diags)
-            assert set(angulations._split_faces(sub, diags)) == set(
-                _ref_split_faces(sub, diags)
-            )
+
+
+def test_admissible_chord_sets_cut_m_gons():
+    # MAngulation reads no face: the count, modulus and noncrossing checks
+    # imply that every face is an m-gon.  Every (k-1)-set of admissible
+    # chords is tried; exactly S_{k,m} pass, each into m-gons
+    for m, kmax in ((3, 5), (4, 5), (5, 4), (6, 4)):
+        for k in range(1, kmax + 1):
+            n = (m - 2) * k + 2
+            chords = [
+                (a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)
+                if b - a <= n - 2 and (b - a) % (m - 2) == 1 % (m - 2)
+            ]
+            accepted = 0
+            for diags in itertools.combinations(chords, k - 1):
+                try:
+                    ang = MAngulation(m, k, diags)
+                except DiagonalsCross:
+                    continue
+                accepted += 1
+                faces = _ref_split_faces(tuple(range(1, n + 1)), diags)
+                assert sorted(map(len, faces)) == [m] * k and set(faces) == set(ang.faces)
+            assert accepted == s_count(k, m)
+
+
+def _colouring_cases():
+    """Every angulation at (5,3), (4,4), (3,5) and (3,6), and angulations of
+    seeded trees at k = 30..50."""
+    for k, m in ((5, 3), (4, 4), (3, 5), (3, 6)):
+        yield from enumerate_angulations(k, m)
+    rng = random.Random(3033)
+    for k, m in ((30, 3), (40, 4), (50, 5)):
+        yield labelled_tree_to_labelled_angulation(random_tree(rng, k, m)).base.ang
+
+
+def test_vertex_rule_matches_face_search():
+    # every colour of side (1, 2), and seeds on sides and on diagonals with
+    # a seeded colour each
+    rng = random.Random(80)
+    for ang in _colouring_cases():
+        edges = ang.edges()
+        seeds = edges if ang.k < 10 else rng.sample(edges[: ang.n], 5) + rng.sample(edges[ang.n :], 5)
+        for seed in seeds:
+            c = rng.randint(1, ang.m)
+            assert colour_from_seed(ang, seed, c).colour == _ref_colour_from_seed(ang, seed, c)
+        assert [ca.colour for ca in all_colourings(ang)] == [
+            _ref_colour_from_seed(ang, (1, 2), c) for c in range(1, ang.m + 1)
+        ]
+
+
+def test_every_single_edge_recolouring_is_refused():
+    for k, m in ((4, 3), (3, 4), (3, 5), (2, 6)):
+        for ang in enumerate_angulations(k, m):
+            for ca in all_colourings(ang):
+                for e, c in ca.colours:
+                    for other in range(1, m + 1):
+                        if other != c:
+                            with pytest.raises(WrongFaceShape):
+                                ColouredAngulation(ang, tuple({**ca.colour, e: other}.items()))
 
 
 def _symmetric_cases():
@@ -544,9 +627,7 @@ def _ref_primitive_rotate(n, diags, d):
     if d not in diags:
         raise NotADiagonal(f"{d} is not a diagonal of the dissection")
     a, b = d
-    f1, f2 = (
-        f for f in angulations._split_faces(tuple(range(1, n + 1)), diags) if a in f and b in f
-    )
+    f1, f2 = (f for f in _ref_split_faces(tuple(range(1, n + 1)), diags) if a in f and b in f)
     merged = sorted(set(f1) | set(f2))
     pos = {v: idx for idx, v in enumerate(merged)}
     ln = len(merged)
@@ -570,12 +651,9 @@ def _ref_rotate_region(n, m, diags, region, seq):
     internal = [d for d in diags if d[0] in pos and d[1] in pos and not adjacent(*d)]
     if not internal:
         return
-    faces = angulations._split_faces(region, internal)
+    faces = _ref_split_faces(region, internal)
     intset = set(internal)
-    F = min(
-        f for f in faces
-        if sum(1 for e in angulations._face_edge_cycle(f) if e in intset) == 1
-    )
+    F = min(f for f in faces if sum(1 for e in _ref_edge_cycle(f) if e in intset) == 1)
     posset = {pos[v] for v in F}
     start = next(p for p in posset if (p - 1) % ln not in posset)
     run = [region[(start + t) % ln] for t in range(len(F))]
@@ -627,26 +705,24 @@ def test_rotate_one_step_matches_split_reference():
             assert diagonal_rotate(ang, d).diagonals == tuple(sorted(diags))
 
 
-def test_primitive_rotation_does_not_split_the_polygon(monkeypatch):
+def test_construction_and_rotation_walk_no_face(monkeypatch):
+    # MAngulation, shift and rotate_one_step read no face: a diagonal
+    # rotation reads only its ends' neighbours
     cases = list(itertools.islice(_rotation_cases(), 0, None, 7))
     calls = []
-    split = angulations._split_faces
+    trace = angulations._Dissection.trace
     monkeypatch.setattr(
-        angulations, "_split_faces", lambda *args: calls.append(1) or split(*args)
+        angulations._Dissection, "trace", lambda self: calls.append(1) or trace(self)
     )
     for ang in cases:
-        dis = angulations._Dissection(ang.n, ang.diagonals)
-        for d in ang.diagonals:
-            angulations._primitive_rotate(dis, d)
-        seq = []
-        angulations._rotate_region(dis, ang.m, tuple(range(1, ang.n + 1)), seq)
-        assert calls == []
-        # rotate_one_step splits only to validate its result and the shift
+        MAngulation(ang.m, ang.k, ang.diagonals)
+        shift(ang, 3)
         rotate_one_step(ang)
-        assert len(calls) == 2
-        calls.clear()
-    # induction turns each hanging subpolygon without re-splitting the
-    # polygon: it splits only to validate its result
+        for d in ang.diagonals[:5]:
+            diagonal_rotate(ang, d)
+        assert calls == []
+    # induction turns each hanging subpolygon without walking the polygon:
+    # it traces faces only to validate its result
     turned = 0
     for ang in cases:
         for c in range(1, ang.m + 1):

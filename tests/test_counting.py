@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from clustercomb import counting
+from clustercomb import counting, induction
 from clustercomb.core import CircularOrder, ColouredTree, circular_order
 from clustercomb.counting import (
     DEFAULT_MAX_WORK,
@@ -184,6 +184,66 @@ def test_a_bound_past_40_digits_is_named_by_its_digit_count(monkeypatch):
     path = ColouredTree(7500, 3, tuple((v, v + 1, 1 + v % 2) for v in range(1, 7500)))
     with pytest.raises(SizeLimitExceeded, match=r"^orbit: output bound \(a \d+-digit number\)"):
         orbit(path)
+
+
+def _path(k, m):
+    return ColouredTree(k, m, tuple((v, v + 1, 1 + v % 2) for v in range(1, k)))
+
+
+def test_m2_classes_are_guarded_by_their_edge_entries(monkeypatch):
+    # at m = 2 a class has T = k trees of k - 1 edges: the k = 20 000 path
+    # passes the object bound but emits 4e8 edge entries, refused before any
+    # tree is built; the 1500-vertex path (2.25e6 entries) and the largest
+    # class admitted at m = 3, T(12, 3) trees of 11 edges, stay admitted
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+
+    def no_class(*args):
+        raise AssertionError("a class was built")
+
+    monkeypatch.setattr(counting, "_order_class", no_class)
+    monkeypatch.setattr(induction, "_order_class", no_class)
+    with pytest.raises(SizeLimitExceeded, match="^orbit: 399980000 edge entries"):
+        orbit(_path(20_000, 2))
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_trees: 399980000 edge entries"):
+        next(enumerate_trees(20_000, 2, CircularOrder.descending(20_000)))
+    for kind, bound, width in (("orbit", ("T", 1500, 2), 1499), ("orbit", ("T", 12, 3), 11),
+                               ("enumerate_trees", ("U", 7, 3), 6)):
+        counting._guard(kind, bound, width)
+    # limit 297 admits the 297 trees of 5 edges at (6, 3)
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "297")
+    counting._guard("orbit", ("T", 6, 3), 5)
+
+
+def test_refusals_past_the_limit_compute_no_big_binomial(monkeypatch):
+    # the digit count of a bound far above the limit comes from the
+    # Stirling estimate that count rows use: math.comb never sees the
+    # 120 404-digit S(200 000, 3); near the limit, or at up to 41 digits,
+    # the bound is exact, and every message is the one the exact bound gives
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    comb = math.comb
+
+    def small_comb(n, r):
+        if n > 10**4:
+            raise AssertionError(f"comb({n}, {r}) computed")
+        return comb(n, r)
+
+    monkeypatch.setattr(counting.math, "comb", small_comb)
+    with pytest.raises(SizeLimitExceeded, match=r"bound \(a 120404-digit number\) exceeds"):
+        next(enumerate_angulations(200_000, 3))
+    with pytest.raises(SizeLimitExceeded, match=r"bound \(a 120405-digit number\) exceeds"):
+        next(enumerate_trees(200_000, 3, CircularOrder.descending(200_000)))
+    with pytest.raises(SizeLimitExceeded, match=r"^orbit: output bound \(a \d+-digit number\)"):
+        orbit(_path(200_000, 3))
+    for family in ("T", "S", "U"):
+        for k in range(2, 1000, 13):
+            for m in (2, 3, 5):
+                bound = counting._COUNTS[family](k, m)
+                if bound > DEFAULT_MAX_WORK:
+                    with pytest.raises(SizeLimitExceeded) as exc:
+                        counting._guard("g", (family, k, m))
+                    assert str(exc.value).startswith(f"g: output bound {counting._shown(bound)} ")
+                else:
+                    counting._guard("g", (family, k, m))
 
 
 def test_enumerate_angulations_counts():

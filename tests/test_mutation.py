@@ -6,7 +6,7 @@ mutation (Cluster algebras I, 2002).
 Convention.  The coloured quiver Q(D) of an m-angulation D has the
 diagonals as vertices.  For two diagonals d = e_a and e = e_b of one face
 whose edges are e_0 ... e_{m-1} in clockwise order (ascending vertices, then
-the closing edge, as `_face_edge_cycle` lists them), Q(D) has one arrow
+the closing edge, as `_face_edges` lists them), Q(D) has one arrow
 d -> e of colour (a - b - 1) mod m: the number of face edges strictly
 between d and e, going anticlockwise from d.  The colours are 0..m-2 and
 e -> d has colour m-2-c, so Q(D) is a Buan-Thomas coloured quiver for their
