@@ -11,7 +11,9 @@ A diagonal-coloured angulation colours every edge (boundary sides and
 diagonals) so that each face reads S_1, S_2, ..., S_m in clockwise order;
 a colouring is fixed by any one edge's colour, vertex by vertex.  Rooted and
 m-gon-labelled variants carry a distinguished face, respectively a bijection
-faces -> 1..k.
+faces -> 1..k.  `_trusted` builds, unchecked, what `colour_from_seed` and
+`all_colourings` (the vertex rule the colour check compares with) and
+`canonical_rotation` (a rotation of a valid object) produce.
 
 Mutation is diagonal rotation: remove a diagonal, merge its two faces into a
 (2m-2)-gon, and re-split one vertex step anticlockwise.  More generally a
@@ -29,7 +31,7 @@ So induction is a composition of mutations.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +65,13 @@ def _checked_edge(name: str, edge) -> Sequence[int]:
     if not _is_int(edge, 2):
         raise MalformedJSON(f'"{name}" must be an [a, b] integer pair, got {edge!r}')
     return edge
+
+
+def _trusted(cls, **fields):
+    """A `cls` with these fields, stored as its constructor stores them, unchecked."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,7 @@ class MAngulation(_FromJson):
 
     @cached_property
     def _dissection(self) -> _Dissection:
-        """Read-only: the face lookups and colourings read it."""
+        """Read-only: the face lookups, the colourings and canonical_rotation read it."""
         return _Dissection(self.n, self.diagonals)
 
     @cached_property
@@ -319,13 +328,13 @@ def colour_from_seed(
     if seed not in rule:
         raise NotADiagonal(f"{seed} is not an edge of the dissection")
     off = seed_colour - rule[seed]
-    return ColouredAngulation(ang, tuple((e, (c + off - 1) % ang.m + 1) for e, c in rule.items()))
+    colours = tuple(sorted((e, (c + off - 1) % ang.m + 1) for e, c in rule.items()))
+    return _trusted(ColouredAngulation, ang=ang, colours=colours)
 
 
 def all_colourings(ang: MAngulation) -> list[ColouredAngulation]:
-    """Exactly m colourings exist per angulation, one per colour of side
-    (1, 2)."""
-    return [ColouredAngulation(ang, tuple(_vertex_rule(ang, c).items())) for c in range(1, ang.m + 1)]
+    """The m colourings of an angulation, one per colour of side (1, 2)."""
+    return [colour_from_seed(ang, (1, 2), c) for c in range(1, ang.m + 1)]
 
 
 def _vertex_rule(ang: MAngulation, c: int) -> dict[Diagonal, int]:
@@ -541,24 +550,24 @@ def canonical_rotation(obj):
     """The representative minimizing the JSON encoding over all n rotations,
     the first rotation on ties; accepts any of the four angulation types.
 
-    Every encoding starts with the same m and k and then the text of the
-    rotated, sorted diagonal list, so that text ranks the rotations first.
-    Each list has k-1 entries [a,b], and "]]" appears only where the list
-    closes, so no list text is a proper prefix of another: two different
-    texts differ at some character, and that character decides the whole
-    encoding.  A rotation that puts no diagonal end on vertex 1 has a text
-    starting "[[a," with a >= 2, which is greater than "[[1,": at the first
-    digit or, for a = 10..19, 100.., at the "," after the "1", which
-    precedes every digit; so only rotations putting a diagonal end on
-    vertex 1 are ranked.  Colours, root and labels are encoded only for the
-    rotations that tie on the least diagonal text, the rotational
-    symmetries of the diagonal set.  Only the winner is built, through the
-    validating constructors."""
+    Every encoding starts with m, k and the text "[e,e,...]" of the rotated,
+    sorted diagonal list, which ranks the rotations first.  Each element
+    "[a,b]" has its only "]" at its end, so none is a proper prefix of
+    another and texts compare element by element.  Rotation t, putting
+    u = 1 - t on 1, streams its elements from the gaps: vertex u + r gives
+    [r+1, r-g+n+1] for each diagonal gap g > r there, in decreasing g.  The
+    streams step together, keeping those with the least element, until one
+    is left or all k-1 are read; those left after j steps share the least
+    j-element prefix, so at the end exactly the least text.  A rotation
+    with no diagonal end on 1 starts "[[a," with a >= 2, above "[[1," (","
+    precedes every digit).  Colours, root and labels break a tie of those
+    left, the symmetries of the diagonal set; the winner is built trusted."""
     if not isinstance(obj, (MAngulation, ColouredAngulation, RootedAngulation, LabelledAngulation)):
         raise TypeError(f"cannot canonicalize {type(obj)}")
     cang = obj if isinstance(obj, ColouredAngulation) else getattr(obj, "base", None)
     ang = obj if cang is None else cang.ang
     root, labels, n = getattr(obj, "root", None), getattr(obj, "labels", None), ang.n
+    gaps = ang._dissection.gaps
 
     def edge(e: Diagonal, t: int) -> Diagonal:
         a, b = (e[0] + t - 1) % n + 1, (e[1] + t - 1) % n + 1
@@ -566,31 +575,36 @@ def canonical_rotation(obj):
 
     def rotated(t: int) -> tuple:
         return (
-            sorted(edge(d, t) for d in ang.diagonals),
-            None if cang is None else sorted((edge(e, t), c) for e, c in cang.colours),
+            tuple(sorted(edge(d, t) for d in ang.diagonals)),
+            None if cang is None else tuple(sorted((edge(e, t), c) for e, c in cang.colours)),
             None if root is None else _rotate_face(root, t, n),
-            None if labels is None else sorted((_rotate_face(f, t, n), l) for f, l in labels),
+            None if labels is None else tuple(sorted((_rotate_face(f, t, n), l) for f, l in labels)),
         )
 
-    ends = {v for d in ang.diagonals for v in d}
-    cands = sorted({(1 - v) % n for v in ends}) if ends else range(n)
-    texts = {
-        t: json.dumps(sorted(edge(d, t) for d in ang.diagonals), separators=(",", ":"))
-        for t in cands
-    }
-    least = min(texts.values())
-    best = min(
-        (t for t in cands if texts[t] == least),
-        key=lambda t: _encode(ang.m, ang.k, *rotated(t)),
-    )
-    diagonals, colours, root, labels = rotated(best)
-    out = MAngulation(ang.m, ang.k, tuple(diagonals))
+    def elements(t: int):
+        for r in range(n):
+            gs = gaps[(r - t) % n + 1]
+            for g in reversed(gs[bisect_right(gs, r or 1) : -1]):
+                yield f"[{r + 1},{r - g + n + 1}]"
+
+    live = {t: elements(t) for t in range(n) if len(gaps[-t % n + 1]) > 2} or dict.fromkeys(range(n))
+    for _ in range(ang.k - 1):
+        if len(live) == 1:
+            break
+        heads = {t: next(s) for t, s in live.items()}
+        least = min(heads.values())
+        live = {t: s for t, s in live.items() if heads[t] == least}
+    rotations = [rotated(t) for t in live]
+    if len(rotations) > 1:  # a stable sort, so the first rotation on ties
+        rotations.sort(key=lambda fields: _encode(ang.m, ang.k, *fields))
+    diagonals, colours, root, labels = rotations[0]
+    out = _trusted(MAngulation, m=ang.m, k=ang.k, diagonals=diagonals)
     if colours is not None:
-        out = ColouredAngulation(out, tuple(colours))
+        out = _trusted(ColouredAngulation, ang=out, colours=colours)
     if root is not None:
-        out = RootedAngulation(out, root)
+        out = _trusted(RootedAngulation, base=out, root=root)
     if labels is not None:
-        out = LabelledAngulation(out, tuple(labels))
+        out = _trusted(LabelledAngulation, base=out, labels=labels)
     return out
 
 

@@ -21,7 +21,8 @@ is proper by a stated argument build their trees with
 class generator in `counting` and the relabellings of its class that
 `enumerate_trees` yields, the R/L successors in `induction`, the canonical
 relabellings here and the descending relabelling in `bijections`.  Each
-call site states its argument.
+call site states its argument; `angulations._trusted` does the same for the
+colourings and canonical rotations of angulations.
 The slot table `nbr` is filled by validation, or from the edges on its first
 read, so a tree whose table nobody reads never builds one.
 """

@@ -579,6 +579,107 @@ def test_canonical_rotation_matches_reference():
     assert symmetric >= 10
 
 
+def _fan(k, m):
+    """The fan of diagonals at vertex 1."""
+    return MAngulation(m, k, tuple((1, j * (m - 2) + 2) for j in range(1, k)))
+
+
+def _zigzag(k, m):
+    """Nested diagonals, each one face inside the last, cut alternately
+    from the two ends of the polygon."""
+    lo, hi, diags = 1, (m - 2) * k + 2, []
+    for j in range(k - 1):
+        lo, hi = (lo + m - 2, hi) if j % 2 == 0 else (lo, hi - m + 2)
+        diags.append((lo, hi))
+    return MAngulation(m, k, tuple(diags))
+
+
+def _star(sector, m, flip=False):
+    """A central m-gon with m congruent sectors of `sector` faces, each a fan
+    at its clockwise-first vertex: m-fold symmetric.  With flip, the last
+    sector fans from its last vertex instead: no longer symmetric, but the
+    candidates at the other sectors agree until they reach that one."""
+    ln = (m - 2) * sector + 1
+    n, diags = m * ln, []
+    for c in range(1, n, ln):
+        e = (c + ln - 1) % n + 1
+        diags.append(tuple(sorted((c, e))))
+        for j in range(1, sector):
+            far = c + j * (m - 2) + 1
+            diags.append((e, 2 * c + ln - far) if flip and e == 1 else (c, far))
+    return MAngulation(m, m * sector + 1, tuple(diags))
+
+
+def _shape_cases(k, m):
+    return {
+        "fan": _fan(k, m),
+        "zigzag": _zigzag(k, m),
+        "star": _star((k - 1) // m, m),
+        "flipped star": _star((k - 1) // m, m, flip=True),
+    }
+
+
+def test_shapes_have_their_symmetries():
+    for m in (3, 4):
+        for name, ang in _shape_cases(40, m).items():
+            assert sorted(map(len, ang.faces)) == [m] * ang.k
+            symmetries = sum(shift(ang, t) == ang for t in range(ang.n))
+            # an even zigzag turns a half turn about its middle diagonal
+            assert symmetries == {"star": m, "zigzag": 2}.get(name, 1), name
+
+
+@pytest.mark.parametrize("m", (3, 4))
+@pytest.mark.parametrize("k", (40, 100))
+def test_canonical_rotation_of_shapes_matches_reference(k, m):
+    # every type, shifted so that the winner is no given rotation; on the
+    # star only the colours, the root or the labels break the tie
+    rng = random.Random(k * m)
+    for ang in _shape_cases(k, m).values():
+        ang = shift(ang, rng.randrange(ang.n))
+        cang = colour_from_seed(ang, (1, 2), rng.randint(1, m))
+        labels = list(range(1, ang.k + 1))
+        rng.shuffle(labels)
+        for obj in (
+            ang,
+            cang,
+            RootedAngulation(cang, rng.choice(ang.faces)),
+            LabelledAngulation(cang, tuple(zip(ang.faces, labels))),
+        ):
+            assert canonical_rotation(obj) == _ref_canonical_rotation(obj)
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_canonical_rotation_of_large_shapes_matches_reference(m):
+    rng = random.Random(m)
+    for ang in _shape_cases(400, m).values():
+        ang = shift(ang, rng.randrange(ang.n))
+        assert canonical_rotation(ang) == _ref_canonical_rotation(ang)
+
+
+def test_canonical_rotation_ranks_by_text_not_numbers():
+    # the fan of the 11-gon: numerically its centre on 1 is least,
+    # [[1,3],[1,4],...], but as text "[[1,10]" < "[[1,3]"
+    ang = shift(_fan(9, 3), 4)
+    by_numbers = min((shift(ang, t) for t in range(ang.n)), key=lambda a: a.diagonals)
+    by_text = _ref_canonical_rotation(ang)
+    assert by_numbers != by_text
+    assert by_numbers.diagonals[0] == (1, 3) and by_text.diagonals[0] == (1, 10)
+    assert canonical_rotation(ang) == by_text
+
+
+def test_canonical_rotation_writes_no_candidate_text(monkeypatch):
+    # only the rotations left after the elimination are encoded, and only
+    # to break a tie; here one is left
+    rng = random.Random(200)
+    cang = labelled_tree_to_labelled_angulation(random_tree(rng, 200, 3)).base
+    cang = colour_from_seed(shift(cang.ang, 17), (1, 2), 1)
+    symmetries = sum(shift(cang.ang, t) == cang.ang for t in range(cang.ang.n))
+    dumps, calls = angulations.json.dumps, []
+    monkeypatch.setattr(angulations.json, "dumps", lambda *a, **kw: calls.append(1) or dumps(*a, **kw))
+    canonical_rotation(cang)
+    assert symmetries == 1 and not calls
+
+
 def test_crossing_check_matches_reference():
     # nested, disjoint and fans sharing an endpoint: no error
     MAngulation(3, 6, ((1, 7), (2, 7), (2, 6), (3, 6), (3, 5)))

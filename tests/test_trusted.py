@@ -1,16 +1,29 @@
 """The trust boundary: every tree an internal producer builds without
 validation is the tree the validating constructor builds from its edges,
-with the same slot table.
+with the same slot table; every angulation object one builds without
+validation is the object its JSON text parses to, field by field.
 
 A trusted tree with unoriented or unsorted edges compares unequal to its
 validated copy, and a slot table filled wrongly on first read differs from
-the one validation fills."""
+the one validation fills; so do trusted angulation fields out of order."""
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
-from clustercomb.bijections import RootedTree, rooted_to_tree
+from clustercomb import angulations
+from clustercomb.angulations import (
+    ColouredAngulation,
+    LabelledAngulation,
+    RootedAngulation,
+    all_colourings,
+    canonical_rotation,
+    colour_from_seed,
+    shift,
+)
+from clustercomb.bijections import RootedTree, labelled_tree_to_labelled_angulation, rooted_to_tree
 from clustercomb.core import (
     ColouredTree,
     canonical_rooted,
@@ -18,8 +31,9 @@ from clustercomb.core import (
     circular_order,
     maximal_chains,
 )
-from clustercomb.counting import enumerate_trees, t_count
+from clustercomb.counting import enumerate_angulations, enumerate_trees, t_count
 from clustercomb.induction import apply_L, apply_R, normal_form, orbit
+from test_core import random_tree
 
 
 def _orbit_classes():
@@ -70,3 +84,61 @@ def test_trusted_trees_equal_their_validated_copies(producer):
         assert t.nbr == checked.nbr, t.edges
         count += 1
     assert count
+
+
+def _angulation_corpus():
+    """Every angulation at (<=5,3), (<=4,4) and (<=3,5) with every colouring,
+    every root and one labelling, and seeded ones at k = 30..60, shifted."""
+    for kmax, m in ((5, 3), (4, 4), (3, 5)):
+        for k in range(1, kmax + 1):
+            for ang in enumerate_angulations(k, m):
+                yield ang
+                for cang in all_colourings(ang):
+                    yield cang
+                    yield from (RootedAngulation(cang, f) for f in ang.faces)
+                    yield LabelledAngulation(cang, tuple(zip(ang.faces, range(k, 0, -1))))
+    rng = random.Random(30)
+    for k, m in ((30, 3), (40, 4), (50, 5), (60, 3)):
+        lang = labelled_tree_to_labelled_angulation(random_tree(rng, k, m))
+        cang = colour_from_seed(shift(lang.base.ang, rng.randrange(lang.base.ang.n)), (1, 2), 1)
+        yield from (cang.ang, cang, RootedAngulation(cang, rng.choice(cang.ang.faces)), lang)
+
+
+def _colourings():
+    rng = random.Random(31)
+    for x in _angulation_corpus():
+        if not isinstance(x, ColouredAngulation):
+            continue
+        yield from all_colourings(x.ang)
+        yield colour_from_seed(x.ang, rng.choice(x.ang.edges()), rng.randint(1, x.m))
+
+
+ANGULATION_PRODUCERS = {
+    "canonical_rotation": lambda: map(canonical_rotation, _angulation_corpus()),
+    "colour_from_seed/all_colourings": _colourings,
+}
+
+
+def _assert_same_fields(x, y):
+    assert type(x) is type(y)
+    for f in dataclasses.fields(x):
+        a, b = getattr(x, f.name), getattr(y, f.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same_fields(a, b)
+        else:
+            assert type(a) is type(b) and a == b, (f.name, a, b)
+
+
+@pytest.mark.parametrize("producer", ANGULATION_PRODUCERS)
+def test_trusted_angulations_equal_their_parsed_copies(producer):
+    count = 0
+    for x in ANGULATION_PRODUCERS[producer]():
+        _assert_same_fields(x, type(x).from_json(x.to_json()))
+        count += 1
+    assert count
+
+
+def test_trusted_angulation_out_of_order_is_unequal():
+    cang = all_colourings(next(iter(enumerate_angulations(4, 3))))[0]
+    scrambled = angulations._trusted(ColouredAngulation, ang=cang.ang, colours=cang.colours[::-1])
+    assert scrambled != ColouredAngulation.from_json(scrambled.to_json()) == cang
