@@ -35,6 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .core import ColouredTree, _check_ints, _FromJson, _is_int, maximal_chains
@@ -400,17 +401,14 @@ class _Dissection:
                 face_of.update(dict.fromkeys(zip(face, (*face[1:], v)), face))
         return face_of
 
-    def interior(self, pos: dict[int, int]) -> dict[Diagonal, tuple[int, int]]:
-        """The diagonals inside a region whose vertices have the cyclic
-        positions pos: both ends in the region and not consecutive in its
-        cycle (so not a region side), with the positions of their ends."""
-        ln = len(pos)
-        out = {}
-        for d in self.diags:
-            pa, pb = pos.get(d[0]), pos.get(d[1])
-            if pa is not None and pb is not None and 1 < abs(pa - pb) < ln - 1:
-                out[d] = (pa, pb)
-        return out
+    def sector(self, v: int, p: int, q: int, region: set[int] | dict[int, int]) -> list[Diagonal]:
+        """The region's diagonals at v, clockwise: v's neighbours in the
+        region (p before v and q after it in its cycle) strictly after p and
+        before q, where every region vertex but v, p, q lies."""
+        n, gs = self.n, self.gaps[v]
+        ws = ((v - g - 1) % n + 1
+              for g in gs[bisect_right(gs, (v - p) % n) : bisect_left(gs, (v - q) % n)])
+        return [(v, w) if v < w else (w, v) for w in ws if w in region]
 
 
 def _primitive_rotate(dis: _Dissection, d: Diagonal) -> Diagonal:
@@ -443,66 +441,84 @@ def _turned(face: Face, region: Sequence[int], pos: dict[int, int]) -> Face:
     return tuple(sorted(region[pos[v] - 1] for v in face))
 
 
-def _rotate_region(
-    dis: _Dissection, m: int, region: tuple[int, ...], seq: list[Diagonal]
-) -> None:
-    """Rotate the dissection induced on a region one vertex step anticlockwise
-    (in the region's own cycle), realized as primitive diagonal rotations
-    appended to seq.  The region is a union of faces of the dissection.
+def _rotate_region(dis: _Dissection, m: int, seq: list[Diagonal]) -> None:
+    """Rotate the dissection one vertex step anticlockwise as primitive
+    diagonal rotations, appended to seq.
 
-    Loop over the shrinking region: pick a face F with a single internal
-    edge, rotate the fan of diagonals at F's clockwise-first corner (farthest
-    first), rotate the fan of the remainder back one step clockwise, then go
-    on with the region minus the moved face.  Each level's drift check (its
-    internal diagonals must end as the turn of those it started with) runs
-    once the deeper levels are done, deepest first."""
-    checks: list[tuple[dict[int, int], set[Diagonal]]] = []
-    while True:
-        pos = {v: idx for idx, v in enumerate(region)}
-        internal = dis.interior(pos)
-        if not internal:
-            break
-        checks.append(
-            (pos, {_norm_edge(region[pa - 1], region[pb - 1]) for pa, pb in internal.values()})
-        )
-        ln = len(region)
-        # the region's faces are m-gons, so a face with a single internal edge
-        # is a run of m consecutive region vertices closed by that edge
-        runs = [
-            [region[(p + t) % ln] for t in range(m)]
-            for pa, pb in internal.values()
-            for p, q in ((pa, pb), (pb, pa))
-            if (q - p) % ln == m - 1
-        ]
-        if not runs:
-            raise InvariantBroken(f"no face of {region} has a single internal edge")
-        run = min(runs, key=sorted)
-        i = run[0]
-        e = _norm_edge(run[0], run[-1])
+    Peel a region R (a union of faces, linked clockwise by nxt, prv): at its
+    ear, the least run v_0..v_{m-1} (as a sorted tuple; a heap holds them,
+    checked when popped) closed by a diagonal e, rotate R's fan at v_0
+    farthest first (ascending gap) onto p = prv[v_0], then all but e back one
+    step clockwise, nearest p first; unlink v_0..v_{m-3}, so R' has the side
+    (p, v_{m-2}).
 
-        def cdist(d: Diagonal, centre: int) -> int:
-            other = d[1] if d[0] == centre else d[0]
-            return (pos[other] - pos[centre]) % ln
+    A level is right if R's diagonals I end as t_R(I), each vertex moved to
+    its predecessor in R.  Later levels move only those of R', so if the next
+    level is right this one is iff t_R'(I') + F = t_R(I) (+ a disjoint
+    union), I' those of R' after the level, F those then at v_0..v_{m-3}
+    plus (p, v_{m-2}).  A diagonal kept off v_0..v_{m-2} is in I and I', its
+    image (t_R, t_R' differ only at v_{m-2}) in no other term; cancelling
+    leaves t_R'(B) + F = t_R(A), A the level's net removals plus I at
+    v_0..v_{m-2}, B its net additions inside R' plus I' at v_{m-2}.  The last
+    region has no diagonal, so all levels are right iff all these identities
+    hold; each is checked right after its level."""
+    n, diags = dis.n, dis.diags
+    nxt, prv, alive = [0, *range(2, n + 1), 1], [0, n, *range(1, n)], set(range(1, n + 1))
+    heap, toggled = [], set()  # the ears; what the level removed or added, net
 
-        fan = [d for d in internal if i in d]
-        moved: dict[Diagonal, Diagonal] = {}
-        for d in sorted(fan, key=lambda d: -cdist(d, i)):
-            moved[d] = _primitive_rotate(dis, d)
-            seq.append(d)
-        i_prev = region[pos[i] - 1]
+    def run(v: int) -> list[int]:
+        out = [v]
+        for _ in range(m - 1):
+            out.append(nxt[out[-1]])
+        return out
+
+    def rotate(d: Diagonal) -> Diagonal:
+        seq.append(d)
+        out = _primitive_rotate(dis, d)
+        toggled.symmetric_difference_update({d} ^ {out})
+        return out
+
+    def inside(v: int) -> list[Diagonal]:
+        return dis.sector(v, prv[v], nxt[v], alive)
+
+    def turned(ds: Iterable[Diagonal]) -> set[Diagonal]:
+        return {_norm_edge(prv[a], prv[b]) for a, b in ds}
+
+    redo = {v for d in diags for v in d}
+    for _ in range(len(diags)):
+        for v in redo:
+            r = run(v)
+            if _norm_edge(v, r[-1]) in diags:
+                heappush(heap, (tuple(sorted(r)), v))
+        while heap:
+            key, v0 = heappop(heap)
+            r = run(v0)
+            if v0 in alive and tuple(sorted(r)) == key and _norm_edge(v0, r[-1]) in diags:
+                break
+        else:
+            raise InvariantBroken(f"no face of {tuple(sorted(alive))} has a single internal edge")
+        p, e, dead = prv[v0], _norm_edge(v0, r[-1]), r[: m - 2]
+        fan = inside(v0)
+        start = {d for v in r[1:-1] for d in inside(v)}.union(fan)
+        toggled.clear()
+        moved = {d: rotate(d) for d in fan}
         back = [moved[d] for d in fan if d != e]
-        # clockwise rotation of the remaining fan: nearest first, m-2 primitive
-        # anticlockwise steps per diagonal
-        for d in sorted(back, key=lambda d: cdist(d, i_prev)):
-            cur = d
+        for cur in sorted(back, key=lambda d: ((d[1] if d[0] == p else d[0]) - p) % n):
             for _ in range(m - 2):
-                seq.append(cur)
-                cur = _primitive_rotate(dis, cur)
-        removed = set(run[: m - 2])
-        region = tuple(v for v in region if v not in removed)
-    for pos, expected in reversed(checks):
-        if dis.interior(pos).keys() != expected:
-            raise InvariantBroken(f"region rotation drifted on {tuple(pos)}")
+                cur = rotate(cur)
+        added = toggled & diags
+        want = turned(start | (toggled - added))
+        got = {d for v in dead for d in inside(v)} | ({_norm_edge(p, r[-2])} & diags)
+        nxt[p], prv[r[-2]] = r[-2], p
+        alive.difference_update(dead)
+        got |= turned(inside(r[-2]))
+        got |= turned((a, b) for a, b in added if {a, b} <= alive and b not in (nxt[a], prv[a]))
+        if got != want:
+            raise InvariantBroken(f"region rotation drifted on {tuple(sorted(alive.union(dead)))}")
+        redo = {v for d in added for v in d if v in alive}  # runs an added diagonal closes
+        for _ in range(m - 1):  # and the runs through v_0..v_{m-3}, which start up to p
+            redo.add(p)
+            p = prv[p]
 
 
 def _shift_vertex(v: int, t: int, n: int) -> int:
@@ -525,7 +541,7 @@ def rotate_one_step(ang: MAngulation) -> tuple[MAngulation, tuple[Diagonal, ...]
     diagonal rotations realizing it."""
     dis = _Dissection(ang.n, ang.diagonals)
     seq: list[Diagonal] = []
-    _rotate_region(dis, ang.m, tuple(range(1, ang.n + 1)), seq)
+    _rotate_region(dis, ang.m, seq)
     result = MAngulation(ang.m, ang.k, tuple(sorted(dis.diags)))
     expected = shift(ang, -1)
     if result != expected:
@@ -707,16 +723,18 @@ def _induct_core(
             arc = {(a - 1 + t) % n + 1 for t in range((b - a) % n + 1)}
             region = tuple(sorted(arc | set(face_map[M])))
             pos = {v: p for p, v in enumerate(region)}
-            inside = work.interior(pos)
+            inside = {d for p, v, q in zip(region[-1:] + region, region, region[1:] + region[:1])
+                      for d in work.sector(v, p, q, pos)}
             for d in inside:
                 work.remove(d)
-            for pa, pb in inside.values():
-                work.add(_norm_edge(region[pa - 1], region[pb - 1]))
+            for d in inside:
+                work.add(_turned(d, region, pos))
             for old, cur in face_map.items():
                 if all(v in pos for v in cur):
                     face_map[old] = _turned(cur, region, pos)
 
     new_ang = MAngulation(m, cang.k, tuple(sorted(work.diags)))
+    new_ang.__dict__["_dissection"] = work  # its diagonals; nothing moves them now
     seed = snake_diag_final[0]
     seed_colour = i if cols[0] == j else j
     result = colour_from_seed(new_ang, seed, seed_colour)

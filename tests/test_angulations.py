@@ -718,6 +718,34 @@ def test_rotation_drift_raises_invariant_broken(monkeypatch):
         rotate_one_step(MAngulation(3, 3, ((1, 3), (1, 4))))
 
 
+def test_rotation_level_check_fires_on_its_own(monkeypatch):
+    # a primitive rotation skipped inside a deeper level is caught by that
+    # level's drift check, not by the final comparison with shift(ang, -1)
+    # (some skips are undone by the later rotations of their level)
+    real = angulations._primitive_rotate
+    caught = 0
+    for k, m in ((12, 3), (10, 4), (8, 5)):
+        ang = labelled_tree_to_labelled_angulation(random_tree(random.Random(k), k, m)).base.ang
+        _, seq = rotate_one_step(ang)
+        for skip in range(len(seq) // 2, len(seq)):
+            calls = []
+
+            def skip_one(dis, d):
+                calls.append(d)
+                return d if len(calls) == skip + 1 else real(dis, d)
+
+            monkeypatch.setattr(angulations, "_primitive_rotate", skip_one)
+            try:
+                rotate_one_step(ang)
+            except InvariantBroken as exc:
+                assert str(exc).startswith("region rotation drifted on (")
+                region = re.findall(r"\d+", str(exc))
+                assert m < len(region) < ang.n
+                caught += 1
+            monkeypatch.setattr(angulations, "_primitive_rotate", real)
+    assert caught >= 20
+
+
 # -- rotation against the split-based primitive it replaced ---------------------
 
 
@@ -798,6 +826,15 @@ def _rotation_cases():
 
 
 def test_rotate_one_step_matches_split_reference():
+    # every angulation at (6,3), (5,4), (4,5) and (3,6), and seeded ones at
+    # k = 100, 150 for m = 3..6, beside the cases that also check diagonal_rotate
+    rng = random.Random(3033)
+    for ang in itertools.chain(
+        *(enumerate_angulations(k, m) for k, m in ((6, 3), (5, 4), (4, 5), (3, 6))),
+        (labelled_tree_to_labelled_angulation(random_tree(rng, k, m)).base.ang
+         for k in (100, 150) for m in (3, 4, 5, 6)),
+    ):
+        assert rotate_one_step(ang) == _ref_rotate_one_step(ang)
     for ang in _rotation_cases():
         assert rotate_one_step(ang) == _ref_rotate_one_step(ang)
         for d in ang.diagonals:

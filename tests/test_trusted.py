@@ -21,6 +21,8 @@ from clustercomb.angulations import (
     all_colourings,
     canonical_rotation,
     colour_from_seed,
+    find_snakes,
+    induct_R_on_labelled_angulation,
     shift,
 )
 from clustercomb.bijections import RootedTree, labelled_tree_to_labelled_angulation, rooted_to_tree
@@ -113,9 +115,25 @@ def _colourings():
         yield colour_from_seed(x.ang, rng.choice(x.ang.edges()), rng.randint(1, x.m))
 
 
+def _nontrivial_inductions():
+    """Every snake induction on more than one face of the labelled
+    angulations of 20 seeded trees at k = 40, m = 3, with its input's
+    neighbour lists already built."""
+    rng = random.Random(40)
+    for _ in range(20):
+        lang = labelled_tree_to_labelled_angulation(random_tree(rng, 40, 3))
+        for i in (1, 2):
+            for s in find_snakes(lang.base, i, i + 1):
+                if len(s.faces) > 1:
+                    yield lang, s, i
+
+
 ANGULATION_PRODUCERS = {
     "canonical_rotation": lambda: map(canonical_rotation, _angulation_corpus()),
     "colour_from_seed/all_colourings": _colourings,
+    "snake induction": lambda: (
+        induct_R_on_labelled_angulation(*c) for c in _nontrivial_inductions()
+    ),
 }
 
 
@@ -136,6 +154,25 @@ def test_trusted_angulations_equal_their_parsed_copies(producer):
         _assert_same_fields(x, type(x).from_json(x.to_json()))
         count += 1
     assert count
+
+
+def test_induction_builds_one_dissection(monkeypatch):
+    # the result adopts the working copy of the neighbour lists, which reads
+    # the same faces as lists built afresh from its parsed JSON
+    builds, init = [], angulations._Dissection.__init__
+    monkeypatch.setattr(
+        angulations._Dissection, "__init__", lambda self, *a: builds.append(1) or init(self, *a)
+    )
+    count = 0
+    for lang, s, i in _nontrivial_inductions():
+        builds.clear()
+        out = induct_R_on_labelled_angulation(lang, s, i)
+        assert len(builds) == 1
+        fresh = LabelledAngulation.from_json(out.to_json()).base.ang
+        assert out.base.ang.faces == fresh.faces
+        assert out.base.ang.diagonal_faces == fresh.diagonal_faces
+        count += 1
+    assert count >= 300
 
 
 def test_trusted_angulation_out_of_order_is_unequal():
