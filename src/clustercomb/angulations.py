@@ -136,12 +136,12 @@ class MAngulation(_FromJson):
         return _Dissection(self.n, self.diagonals)
 
     @cached_property
-    def _face_of(self) -> dict[tuple[int, int], Face]:
+    def _face_of(self) -> dict[Diagonal, Face]:
         return self._dissection.trace()
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(sorted(set(self._face_of.values())))
+        return tuple(sorted(self._face_of.values()))
 
     def is_boundary(self, edge: Diagonal) -> bool:
         a, b = edge
@@ -154,16 +154,25 @@ class MAngulation(_FromJson):
 
     @cached_property
     def diagonal_faces(self) -> dict[Diagonal, tuple[Face, Face]]:
-        f = self._face_of
-        return {(a, b): tuple(sorted((f[a, b], f[b, a]))) for a, b in self.diagonals}
+        """The face each diagonal keys in the trace, and that of the tightest
+        key around it, which the trace lists earlier: one stack finds it."""
+        f, outer, stack = self._face_of, {}, []
+        for a, b in f:
+            while stack and stack[-1][1] <= a:
+                stack.pop()
+            if stack:
+                outer[a, b] = f[stack[-1]]
+            stack.append((a, b))
+        return {d: (f[d], outer[d]) if f[d] < outer[d] else (outer[d], f[d])
+                for d in self.diagonals}
 
     def face_with_edge(self, edge: Diagonal) -> Face:
-        """The least face on an edge, a lookup in the trace."""
-        a, b = _norm_edge(*edge)
-        found = [f for f in (self._face_of.get((a, b)), self._face_of.get((b, a))) if f]
-        if not found:
+        """The least face on an edge: the first face holding both its ends."""
+        a, b = _norm_edge(*_checked_edge("edge", edge))
+        side = 1 <= a < b <= self.n and self.is_boundary((a, b))
+        if not (side or (a, b) in self._dissection.diags):
             raise NotADiagonal(f"{(a, b)} is not an edge of the dissection")
-        return min(found)
+        return next(f for f in self.faces if a in f and b in f)
 
     def to_json(self) -> str:
         return _encode(self.m, self.k, self.diagonals)
@@ -385,11 +394,12 @@ class _Dissection:
         gs = self.gaps[a]
         return (a - gs[bisect_left(gs, (a - p) % self.n) + step] - 1) % self.n + 1
 
-    def trace(self) -> dict[tuple[int, int], Face]:
-        """The face of each directed edge a face walks (the sides v -> v+1
-        and n -> 1, each diagonal both ways).  Each face is walked once, in
-        ascending order from its least vertex v, where its angle p, v, q
-        is the one with p, q > v (both gaps at least v)."""
+    def trace(self) -> dict[Diagonal, Face]:
+        """The faces, each keyed by its least and greatest vertex v < w: the
+        diagonal (v, w) it closes, or the side (1, n).  Each face is walked
+        once, in ascending order from v, where its angle p, v, q is the one
+        with p, q > v (both gaps at least v).  The keys come by ascending v,
+        and at each v by descending w."""
         n, face_of = self.n, {}
         for v, gs in enumerate(self.gaps):
             for g in gs[bisect_left(gs, v) + 1 :]:
@@ -397,8 +407,7 @@ class _Dissection:
                 while w != v:
                     walk.append(w)
                     a, w = w, self.turn(w, a)
-                face = tuple(walk)
-                face_of.update(dict.fromkeys(zip(face, (*face[1:], v)), face))
+                face_of[v, a] = tuple(walk)
         return face_of
 
     def sector(self, v: int, p: int, q: int, region: set[int] | dict[int, int]) -> list[Diagonal]:
@@ -521,17 +530,13 @@ def _rotate_region(dis: _Dissection, m: int, seq: list[Diagonal]) -> None:
             p = prv[p]
 
 
-def _shift_vertex(v: int, t: int, n: int) -> int:
-    return (v - 1 + t) % n + 1
-
-
 def shift(ang: MAngulation, t: int) -> MAngulation:
     """Rotate the whole angulation by t vertex steps (positive = clockwise)."""
     n = ang.n
     return MAngulation(
         ang.m,
         ang.k,
-        tuple(_norm_edge(_shift_vertex(a, t, n), _shift_vertex(b, t, n)) for a, b in ang.diagonals),
+        tuple(_norm_edge((a + t - 1) % n + 1, (b + t - 1) % n + 1) for a, b in ang.diagonals),
     )
 
 
@@ -558,10 +563,6 @@ def boundary_face_count(ang: MAngulation) -> int:
 
 # -- canonical rotation --------------------------------------------------------------
 
-def _rotate_face(f: Face, t: int, n: int) -> Face:
-    return tuple(sorted(_shift_vertex(v, t, n) for v in f))
-
-
 def canonical_rotation(obj):
     """The representative minimizing the JSON encoding over all n rotations,
     the first rotation on ties; accepts any of the four angulation types.
@@ -585,16 +586,23 @@ def canonical_rotation(obj):
     root, labels, n = getattr(obj, "root", None), getattr(obj, "labels", None), ang.n
     gaps = ang._dissection.gaps
 
-    def edge(e: Diagonal, t: int) -> Diagonal:
-        a, b = (e[0] + t - 1) % n + 1, (e[1] + t - 1) % n + 1
-        return (a, b) if a < b else (b, a)
-
     def rotated(t: int) -> tuple:
+        # sh[v] = (v + t - 1) % n + 1: the vertices above c wrap to 1..t, so
+        # an ascending face turns into an ascending one from its first above c
+        c, sh = n - t, [0, *range(t + 1, n + 1), *range(1, t + 1)]
+
+        def face(f: Face) -> Face:
+            i = bisect_right(f, c)
+            return tuple(map(sh.__getitem__, f[i:] + f[:i]))
+
         return (
-            tuple(sorted(edge(d, t) for d in ang.diagonals)),
-            None if cang is None else tuple(sorted((edge(e, t), c) for e, c in cang.colours)),
-            None if root is None else _rotate_face(root, t, n),
-            None if labels is None else tuple(sorted((_rotate_face(f, t, n), l) for f, l in labels)),
+            tuple(sorted([(sh[b], sh[a]) if a <= c < b else (sh[a], sh[b])
+                          for a, b in ang.diagonals])),
+            None if cang is None else tuple(sorted([
+                ((sh[b], sh[a]) if a <= c < b else (sh[a], sh[b]), x)
+                for (a, b), x in cang.colours])),
+            None if root is None else face(root),
+            None if labels is None else tuple(sorted([(face(f), l) for f, l in labels])),
         )
 
     def elements(t: int):

@@ -11,12 +11,14 @@ Set CLUSTERCOMB_MAX_WORK to raise the enumeration and orbit work ceiling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import bijections as bij
 from . import counting as cnt
+from . import induction as ind
 from . import verify as ver
 from .angulations import (
     ColouredAngulation,
@@ -30,6 +32,7 @@ from .core import _checked_object, _is_int, _json_loads
 from .diagrams import RnaDiagram
 from .errors import (
     ClustercombError,
+    InvariantBroken,
     MalformedJSON,
     SizeLimitExceeded,
     ValidationError,
@@ -37,7 +40,6 @@ from .errors import (
     WrongCircularOrder,
     WrongObjectType,
 )
-from .induction import InductionStep, apply_steps, orbit
 from .tables import S_TABLE, T_TABLE, U_TABLE
 
 
@@ -202,16 +204,18 @@ def _cmd_induct(args) -> int:
     raw = _json_loads(text)
     if not isinstance(raw, list):
         raise MalformedJSON(f"steps must be a JSON list, got {type(raw).__name__}")
-    steps = [InductionStep.from_dict(d) for d in raw]
-    print(apply_steps(tree, steps).to_json())
+    steps = [ind.InductionStep.from_dict(d) for d in raw]
+    print(ind.apply_steps(tree, steps).to_json())
     return 0
 
 
 def _cmd_orbit(args) -> int:
     tree = ColouredTree.from_json(sys.stdin.read())
+    edges = sorted(t.edges for t in ind._class_members(tree))
+    if any(map(tuple.__eq__, edges, edges[1:])):  # a repeat is a package fault
+        raise InvariantBroken("the induction class yielded a member twice")
     # json writes the edge tuples as it writes lists
-    orb = [{"k": t.k, "m": t.m, "edges": t.edges}
-           for t in sorted(orbit(tree), key=lambda t: t.edges)]
+    orb = [{"k": tree.k, "m": tree.m, "edges": e} for e in edges]
     print(json.dumps({"size": len(orb), "orbit": orb}, separators=(",", ":")))
     return 0
 
@@ -291,8 +295,13 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:  # built on main's first call; parse_args fills a new namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

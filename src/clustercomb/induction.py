@@ -18,7 +18,7 @@ checks it against the R_i closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Chain,
@@ -272,16 +272,20 @@ def _unwind(target, parents, l):
     return steps
 
 
-def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
-    """The induction equivalence class of a tree, which is the set of trees
-    sharing its circular order: built shape by shape by
-    `counting._order_class`, with no R/L step taken.  The class has T_{k,m}
-    members and is refused before any is built when that exceeds the
-    CLUSTERCOMB_MAX_WORK work limit, or their T(k-1) edges ten times it.
-    The verify suite's induction check compares it with the R_i closure of
-    the tree."""
+def _class_members(tree: ColouredTree) -> Iterator[ColouredTree]:
+    """A generator of each member of the induction equivalence class of a
+    tree once: the trees sharing its circular order, built shape by shape
+    by `counting._order_class`, with no R/L step taken.  The class has
+    T_{k,m} members and is refused, at this call, when that exceeds the
+    CLUSTERCOMB_MAX_WORK work limit, or their T(k-1) edges ten times it."""
     _guard("orbit", ("T", tree.k, tree.m), tree.k - 1)
-    return frozenset(_order_class(tree.m, circular_order(tree)))
+    return _order_class(tree.m, circular_order(tree))
+
+
+def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
+    """`_class_members` as a set, which the verify suite's induction check
+    compares with the R_i closure of the tree."""
+    return frozenset(_class_members(tree))
 
 
 def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:

@@ -486,6 +486,20 @@ def test_faces_match_reference():
         )
 
 
+def test_face_with_edge_refuses_a_non_edge():
+    # the least face holding both ends of a side or a diagonal; any other
+    # pair of vertices is no edge of the dissection
+    ang = MAngulation(4, 3, ((1, 4), (4, 7)))  # n = 8
+    assert ang.face_with_edge((8, 1)) == ang.face_with_edge((1, 8)) == (1, 4, 7, 8)
+    assert ang.face_with_edge((5, 6)) == (4, 5, 6, 7)
+    assert ang.face_with_edge((7, 4)) == (1, 4, 7, 8)
+    for e in ((1, 1), (0, 1), (8, 9), (2, 5), (1, 6), (-7, 1)):
+        with pytest.raises(NotADiagonal):
+            ang.face_with_edge(e)
+    with pytest.raises(MalformedJSON):
+        ang.face_with_edge((1.0, 2))
+
+
 def test_admissible_chord_sets_cut_m_gons():
     # MAngulation reads no face: the count, modulus and noncrossing checks
     # imply that every face is an m-gon.  Every (k-1)-set of admissible

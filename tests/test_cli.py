@@ -198,6 +198,118 @@ def test_orbit_refused_by_work_limit(capsys, monkeypatch):
     assert "297" in err and "100" in err
 
 
+def _library_rendering(text):
+    # the document `clustercomb orbit` wrote when it rendered the library's set
+    from clustercomb.core import ColouredTree
+    from clustercomb.induction import orbit
+
+    orb = sorted(orbit(ColouredTree.from_json(text)), key=lambda t: t.edges)
+    return json.dumps(
+        {"size": len(orb), "orbit": [json.loads(t.to_json()) for t in orb]},
+        separators=(",", ":"),
+    ) + "\n"
+
+
+def _one_tree_per_class():
+    import itertools
+
+    from clustercomb.core import CircularOrder
+    from clustercomb.counting import enumerate_trees
+
+    for kmax, m in ((6, 3), (5, 4), (4, 5), (4, 6)):
+        for k in range(1, kmax + 1):
+            for rest in itertools.permutations(range(2, k + 1)):
+                order = CircularOrder.from_cycle((1, *rest))
+                yield next(enumerate_trees(k, m, order)).to_json()
+    for k in range(1, 41):
+        edges = [[v, v + 1, 1 if v % 2 else 2] for v in range(1, k)]
+        yield json.dumps({"k": k, "m": 2, "edges": edges})
+    yield '{"k":1,"m":3,"edges":[]}'
+
+
+def test_orbit_writes_the_library_set(capsys, monkeypatch):
+    # one tree per sigma-class: the sorted edge tuples the CLI writes are
+    # the library's set, sorted by edges, byte for byte
+    from clustercomb import induction
+
+    texts = list(_one_tree_per_class())
+    assert len(texts) == 154 + 34 + 10 + 10 + 40 + 1
+    want = [_library_rendering(text) for text in texts]
+
+    def refuse(tree):
+        raise AssertionError("clustercomb orbit builds the library's frozenset")
+
+    monkeypatch.setattr(induction, "orbit", refuse)
+    monkeypatch.setattr(cli, "orbit", refuse, raising=False)  # nor a copy of it
+    for text, rendered in zip(texts, want):
+        code, out, err = run(capsys, ["orbit"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, rendered, "")
+
+
+def test_orbit_refuses_a_member_yielded_twice(capsys, monkeypatch):
+    from clustercomb import induction
+
+    real = induction._order_class
+
+    def twice(m, order):
+        members = real(m, order)
+        first = next(members)
+        yield first
+        yield from members
+        yield first
+
+    monkeypatch.setattr(induction, "_order_class", twice)
+    tree = '{"k":4,"m":3,"edges":[[1,2,1],[2,3,2],[3,4,3]]}'
+    code, out, err = run(capsys, ["orbit"], stdin=tree, monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert "twice" in err
+
+
+def test_reused_parser_leaks_nothing_between_calls(monkeypatch):
+    # main builds its parser once; each call still parses into a fresh
+    # namespace, so every result equals that of a freshly built parser
+    import contextlib
+    import io
+
+    from clustercomb import counting
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    calls = [
+        ["count", "bogus-family"],
+        ["enumerate", "trees", "--k", "3", "--m", "3", "--order", "desc"],
+        ["enumerate", "trees", "--k", "3", "--m", "3"],
+        ["verify", "induction", "--k", "3"],
+        ["verify", "induction"],
+        ["count", "T", "--check"],
+        ["count", "T"],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    reused = [call(argv) for argv in calls]
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [call(argv) for argv in calls]
+    assert len(built) == 1 + len(calls)
+    assert reused == fresh
+    usage, by_order, every, small, default, checked, plain = reused
+    assert usage[:2] == (1, "") and "usage:" in usage[2]
+    assert len(by_order[1].splitlines()) == counting.t_count(3, 3)
+    assert len(every[1].splitlines()) == counting.u_count(3, 3)
+    assert small[0] == default[0] == 0 and small[1] != default[1]
+    assert checked == plain == (0, "1\t1\t3\t9\t28\t90\t297\n", "")
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, ["verify", "bijections", "--k", "2", "--m", "3"])
     assert code == 0
