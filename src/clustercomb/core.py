@@ -25,6 +25,13 @@ call site states its argument; `angulations._trusted` does the same for the
 colourings and canonical rotations of angulations.
 The slot table `nbr` is filled by validation, or from the edges on its first
 read, so a tree whose table nobody reads never builds one.
+
+The canonical unlabelled form is rooted at a centroid, found by one pass for
+the subtree sizes and a descent from vertex 1 into the child holding more
+than k/2 vertices.  Only a tree with two centroids (never at odd k) builds
+their nested keys and keeps the walk with the least key as a string; the
+walk numbers the vertices in colour-sorted preorder and emits the canonical
+edges as it goes.
 """
 from __future__ import annotations
 
@@ -296,11 +303,19 @@ class CircularOrder:
         return self.perm[v - 1]
 
     def cycle_of(self, v: int) -> tuple[int, ...]:
+        """The cycle through v, from v.  The constructor checks nothing, so a
+        walk that leaves 1..k or does not close in k steps refuses perm."""
+        perm, k = self.perm, len(self.perm)
+        _check_ints(v=v)
+        if not 1 <= v <= k:
+            raise VertexOutOfRange(f"vertex {v} is not in 1..{k}")
         out = [v]
-        w = self(v)
+        w = perm[v - 1]
         while w != v:
+            if len(out) == k or not (_is_int(w) and 1 <= w <= k):
+                raise WrongCircularOrder(f"{perm} is not a permutation of 1..{k}")
             out.append(w)
-            w = self(w)
+            w = perm[w - 1]
         return tuple(out)
 
     @classmethod
@@ -323,7 +338,10 @@ class CircularOrder:
 
 def symbol_action(forest: ColouredForest, r: int, v: int) -> int:
     """Apply the involution S_r to vertex v."""
-    return forest.adjacency[v].get(r, v)
+    _check_ints(r=r, v=v)
+    if not (1 <= r <= forest.m and 1 <= v <= forest.k):
+        raise VertexOutOfRange(f"S_{r} on {v} is outside S_1..S_{forest.m} on 1..{forest.k}")
+    return forest.nbr[v][r] or v
 
 
 def circular_order(forest: ColouredForest) -> CircularOrder:
@@ -339,15 +357,7 @@ def circular_order(forest: ColouredForest) -> CircularOrder:
 
 def is_k_cycle(order: CircularOrder) -> bool:
     """True iff the permutation is a single cycle through all k vertices."""
-    k = order.k
-    seen = 1
-    w = order(1)
-    while w != 1:
-        seen += 1
-        w = order(w)
-        if seen > k:
-            return False
-    return seen == k
+    return len(order.cycle_of(1)) == order.k
 
 
 @dataclass(frozen=True)
@@ -392,72 +402,90 @@ def maximal_chains(tree: ColouredForest, i: int, j: int) -> list[Chain]:
     chains = []
     seen = [False] * (tree.k + 1)  # the far ends of the chains walked so far
     for v in range(1, tree.k + 1):
-        # a vertex missing an S_i- or an S_j-edge ends its chain, and in
-        # increasing order each chain is met first at its smaller end; given
-        # the colour v lacks first, _chain_path walks the chain once
-        if not seen[v] and not (nbr[v][i] and nbr[v][j]):
-            path = _chain_path(nbr, v, j, i) if nbr[v][i] else _chain_path(nbr, v, i, j)
-            seen[path[-1]] = True
-            chains.append(Chain(i, j, path))
+        row = nbr[v]
+        if seen[v] or row[i] and row[j]:
+            continue
+        # v lacks an S_i- or S_j-edge, so it ends its chain, and in increasing
+        # order each chain is met first at its smaller end: walk it from there
+        c = i if row[i] else j
+        path = [v]
+        w = row[c]
+        while w:
+            path.append(w)
+            c = i + j - c
+            w = nbr[w][c]
+        seen[path[-1]] = True
+        chain = object.__new__(Chain)  # Chain checks nothing; fill its fields
+        fields = chain.__dict__
+        fields["i"], fields["j"], fields["vertices"] = i, j, tuple(path)
+        chains.append(chain)
     return chains
 
 
 # -- canonical unlabelled form -------------------------------------------------
 
-def _centroids(tree: ColouredTree) -> list[int]:
+def _centroids(tree: ColouredTree) -> tuple[int, int]:
+    """The centroid reached from vertex 1 by entering a child of more than
+    k/2 vertices while there is one, and the other centroid or 0: a tree has
+    one or two adjacent ones (Jordan), two when an edge leaves k/2 a side."""
     k, nbr = tree.k, tree.nbr
     parent = [0] * (k + 1)
     order = [1]
     for v in order:  # breadth-first; order grows while it is read
+        p = parent[v]
         for w in nbr[v]:
-            if w and w != parent[v]:
+            if w and w != p:
                 parent[w] = v
                 order.append(w)
     size = [1] * (k + 1)
-    heavy = [0] * (k + 1)  # the largest subtree below each vertex
     for v in reversed(order):
-        p = parent[v]
-        size[p] += size[v]
-        heavy[p] = max(heavy[p], size[v])
-    worst = [max(heavy[v], k - size[v]) for v in range(k + 1)]
-    best = min(worst[1:])
-    return [v for v in range(1, k + 1) if worst[v] == best]
+        size[parent[v]] += size[v]
+    c = 1
+    while True:  # two children of c cannot both hold k/2 or more vertices
+        for w in nbr[c]:
+            if w and parent[w] == c and 2 * size[w] >= k:
+                break
+        else:
+            return c, 0
+        if 2 * size[w] == k:
+            return c, w
+        c = w
 
 
-def _preorder(tree: ColouredForest, root: int):
-    """(vertex, colour of its parent edge, depth) for the tree's vertices in
-    the colour-sorted DFS preorder from root, the root first with colour 0.
-    An explicit stack, so deep trees need no recursion."""
-    nbr, m = tree.nbr, tree.m
-    stack = [(root, 0, 0, 0)]
+def _canonical_walk(tree: ColouredTree, root: int, keyed: bool = False):
+    """The sorted edges of the tree numbered in its colour-sorted DFS
+    preorder from root, each emitted as (parent's number, own number, colour)
+    on the visit, and if keyed the nested key "(c1(...),c2(...))" from root,
+    in which a vertex at depth d after one at depth prev first closes the
+    prev + 1 - d subtrees it leaves, else None.  A stack, so deep trees need
+    no recursion."""
+    nbr, colours = tree.nbr, range(tree.m, 0, -1)
+    edges, parts = [], ["("]
+    n = prev = 0
+    stack = [(root, 0, 0, 0, 0)]  # vertex, parent, its colour and number, depth
     while stack:
-        v, par, col, depth = stack.pop()
-        yield v, col, depth
+        v, par, col, up, depth = stack.pop()
+        n += 1
+        if up:
+            edges.append((up, n, col))
+            if keyed:
+                parts.append(")" * (prev + 1 - depth) + "," * (depth <= prev) + f"{col}(")
+                prev = depth
         row = nbr[v]
-        for c in range(m, 0, -1):
-            if row[c] and row[c] != par:
-                stack.append((row[c], v, c, depth + 1))
-
-
-def _serialise(tree: ColouredForest, root: int) -> str:
-    """The nested key "(c1(...),c2(...))" of the tree rooted at root, the
-    children in colour order; a vertex at depth d after one at depth prev
-    first closes the prev + 1 - d subtrees it leaves."""
-    parts, prev = [], -1
-    for _, c, depth in _preorder(tree, root):
-        if depth:
-            parts.append(")" * (prev + 1 - depth) + ("," if depth <= prev else "") + str(c))
-        parts.append("(")
-        prev = depth
-    parts.append(")" * (prev + 1))
-    return "".join(parts)
+        for c in colours:
+            w = row[c]
+            if w and w != par:
+                stack.append((w, v, c, n, depth + 1))
+    edges.sort()
+    return edges, "".join(parts) + ")" * (prev + 1) if keyed else None
 
 
 @dataclass(frozen=True)
 class UnlabelledTree:
     """An m-edge-coloured tree without labelling, stored as the canonical
-    labelled representative (least colour-sorted serialisation over centroid
-    roots, vertex labels assigned in that serialisation's DFS order)."""
+    labelled representative: the vertex labels follow the colour-sorted DFS
+    preorder from the centroid, which the descent from vertex 1 finds; of
+    two centroids, from the one whose nested key is the least string."""
 
     tree: ColouredTree
 
@@ -486,15 +514,6 @@ def _relabelled(tree: ColouredTree, label) -> ColouredTree:
     return ColouredTree._trusted(tree.k, tree.m, tuple(edges))
 
 
-def _preorder_relabel(tree: ColouredTree, root: int) -> ColouredTree:
-    # the preorder from a vertex of a tree visits each vertex once, so
-    # numbering the visits is a bijection of 1..k
-    label = [0] * (tree.k + 1)
-    for nxt, (v, _, _) in enumerate(_preorder(tree, root), 1):
-        label[v] = nxt
-    return _relabelled(tree, label)
-
-
 def canonical_rooted(tree: ColouredTree, root: int) -> ColouredTree:
     """Canonical labelling of a rooted coloured tree: the root becomes 1 and
     the rest follow the colour-sorted DFS preorder.  Sibling edges carry
@@ -502,13 +521,25 @@ def canonical_rooted(tree: ColouredTree, root: int) -> ColouredTree:
     _check_ints(root=root)
     if not 1 <= root <= tree.k:
         raise VertexOutOfRange(f"root {root!r} is not a vertex of 1..{tree.k}")
-    return _preorder_relabel(tree, root)
+    _check_connected(tree)
+    # the preorder of a tree numbers each vertex once, a bijection of 1..k,
+    # so the relabelled tree is proper
+    edges, _ = _canonical_walk(tree, root)
+    return ColouredTree._trusted(tree.k, tree.m, tuple(edges))
 
 
 def canonical_unlabelled(tree: ColouredTree) -> UnlabelledTree:
-    """Canonical representative modulo colour-preserving isomorphism."""
-    root = min(_centroids(tree), key=lambda v: _serialise(tree, v))
-    return UnlabelledTree(_preorder_relabel(tree, root))
+    """Canonical representative modulo colour-preserving isomorphism: the
+    canonical rooted form at the centroid, or at the one of two centroids
+    whose key is the least string.  Equal keys give equal forms."""
+    _check_connected(tree)
+    root, twin = _centroids(tree)
+    if twin:
+        edges = min(_canonical_walk(tree, root, True), _canonical_walk(tree, twin, True),
+                    key=lambda walk: walk[1])[0]
+    else:
+        edges, _ = _canonical_walk(tree, root)
+    return UnlabelledTree(ColouredTree._trusted(tree.k, tree.m, tuple(edges)))
 
 
 def relabel(tree: ColouredForest, perm: dict[int, int]) -> ColouredForest:

@@ -5,6 +5,11 @@ Each row builds one object with one field, or one entry of a tuple field,
 of a wrong type or width: a bool, a float, a numeric string or None where
 an int belongs.  Each must be refused with MalformedJSON naming the field,
 never a TypeError, and never accepted with the value coerced.
+
+The core walks `cycle_of` and `symbol_action` also refuse a vertex or
+colour out of range with VertexOutOfRange, and a walk that shows its
+permutation is none with WrongCircularOrder, instead of hanging or raising
+an unnamed error.
 """
 import io
 import json
@@ -22,9 +27,16 @@ from clustercomb.angulations import (
     diagonal_rotate,
 )
 from clustercomb.bijections import PlaneTree
-from clustercomb.core import ColouredForest, ColouredTree, canonical_rooted, validate_tree
+from clustercomb.core import (
+    CircularOrder,
+    ColouredForest,
+    ColouredTree,
+    canonical_rooted,
+    symbol_action,
+    validate_tree,
+)
 from clustercomb.diagrams import RnaDiagram
-from clustercomb.errors import MalformedJSON
+from clustercomb.errors import MalformedJSON, VertexOutOfRange, WrongCircularOrder
 from clustercomb.induction import InductionStep
 
 # the m = 3 angulation of the square and its labels, read by the rows below
@@ -68,6 +80,9 @@ SCALARS = {
     "step i": ("i", 1, lambda x: InductionStep("R", x, 2, (1, 2))),
     "step j": ("j", 2, lambda x: InductionStep("R", 1, x, (1, 2))),
     "canonical_rooted root": ("root", 1, lambda x: canonical_rooted(TREE, x)),
+    "symbol_action colour": ("r", 1, lambda x: symbol_action(TREE, x, 1)),
+    "symbol_action vertex": ("v", 1, lambda x: symbol_action(TREE, 1, x)),
+    "cycle_of vertex": ("v", 1, lambda x: CircularOrder.descending(3).cycle_of(x)),
     "seed edge": ("seed_edge", 1, lambda x: colour_from_seed(ANG, (x, 2), 1)),
     "seed colour": ("seed_colour", 1, lambda x: colour_from_seed(ANG, (1, 2), x)),
     "rotated diagonal": ("diag", 1, lambda x: diagonal_rotate(ANG, (x, 3))),
@@ -124,6 +139,28 @@ def test_the_valid_rows_are_accepted():
         build(valid)
     assert ColouredAngulation(ANG, _recoloured(1)) == COLOURED
     assert LabelledAngulation(COLOURED, _relabelled(1)).labels == LABELS
+
+
+# the walks on a vertex or colour out of range, and on a perm that is no
+# permutation (the CircularOrder constructor checks nothing): each once
+OUT_OF_RANGE = {
+    "cycle_of vertex 0": (VertexOutOfRange, lambda: CircularOrder.descending(3).cycle_of(0)),
+    "cycle_of vertex above k": (VertexOutOfRange, lambda: CircularOrder.descending(3).cycle_of(4)),
+    "cycle_of a walk that never closes": (
+        WrongCircularOrder, lambda: CircularOrder((1, 1, 1)).cycle_of(2)),
+    "cycle_of a walk that leaves 1..k": (
+        WrongCircularOrder, lambda: CircularOrder((2, 7)).cycle_of(1)),
+    "symbol_action vertex above k": (VertexOutOfRange, lambda: symbol_action(TREE, 1, 99)),
+    "symbol_action vertex 0": (VertexOutOfRange, lambda: symbol_action(TREE, 1, 0)),
+    "symbol_action colour above m": (VertexOutOfRange, lambda: symbol_action(TREE, 4, 1)),
+    "symbol_action colour 0": (VertexOutOfRange, lambda: symbol_action(TREE, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("error,call", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_core_walks_refuse_inputs_out_of_range(error, call):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("root", ["true", "1.0", '"1"', "null"])

@@ -1,13 +1,17 @@
+import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from clustercomb.core import (
+    Chain,
     CircularOrder,
     ColouredForest,
     ColouredTree,
+    _canonical_walk,
     _centroids,
-    _serialise,
     canonical_rooted,
     canonical_unlabelled,
     circular_order,
@@ -19,7 +23,7 @@ from clustercomb.core import (
     validate_forest,
     validate_tree,
 )
-from clustercomb.counting import enumerate_trees
+from clustercomb.counting import enumerate_trees, u_count
 from clustercomb.errors import (
     CycleDetected,
     DuplicateColourAtVertex,
@@ -176,6 +180,7 @@ def test_circular_order_examples():
     # composing the three symbol involutions by hand gives the cycle (1 3 2)
     assert sigma(1) == 3 and sigma(3) == 2 and sigma(2) == 1
     assert sigma == CircularOrder.descending(3)
+    assert sigma.cycle_of(2) == (2, 1, 3)
 
 
 def test_is_k_cycle():
@@ -346,10 +351,66 @@ def test_kernel_matches_dict_references():
                 got = maximal_chains(t, i, j)
                 assert all((c.i, c.j) == (i, j) for c in got)
                 assert [c.vertices for c in got] == _ref_maximal_chains(t, i, j)
-        assert _centroids(t) == _ref_centroids(t)
+        centroids = sorted(v for v in _centroids(t) if v)
+        assert centroids == _ref_centroids(t)
         adj = _ref_adjacency(t)
-        assert all(_serialise(t, v) == _ref_serialise(adj, v, 0) for v in _centroids(t))
+        assert all(_canonical_walk(t, v, True)[1] == _ref_serialise(adj, v, 0) for v in centroids)
         assert canonical_unlabelled(t).tree.edges == _ref_canonical_edges(t)
+
+
+def test_chains_equal_checked_chains():
+    # maximal_chains fills its chains without the constructor; they are the
+    # same values as constructed ones, and as frozen
+    path = validate_tree([(1, 2, 1), (2, 3, 2), (3, 4, 1)], 4, 3)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        for got in maximal_chains(path, i, j):
+            built = Chain(i, j, got.vertices)
+            assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.vertices = ()
+    assert maximal_chains(path, 1, 2) == [Chain(1, 2, (1, 2, 3, 4))]
+
+
+def test_canonical_forms_refuse_a_forest():
+    forest = validate_forest([(1, 2, 1), (3, 4, 2)], 4, 3)
+    with pytest.raises(NotConnected):
+        canonical_unlabelled(forest)
+    with pytest.raises(NotConnected):
+        canonical_rooted(forest, 1)
+
+
+def test_canonical_keys_compare_as_strings():
+    # at m >= 10 a two-digit colour sorts before a greater one-digit colour
+    # as a string ("10" < "2"), so comparing keys by (depth, colour) instead
+    # picks another centroid on some two-centroid trees
+    for t in enumerate_trees(4, 11):
+        assert canonical_unlabelled(t).tree.edges == _ref_canonical_edges(t)
+
+
+def _v_count(k, m):
+    """V(k, m), the number of unlabelled m-edge-coloured trees on k vertices:
+    U(k, m)/k!, plus at even k = 2j half the number
+    U(j, m)((m - 2)j + 2)/j! of trees that a half-turn about the central edge
+    maps to themselves, since each of those has only k!/2 labellings."""
+    v = Fraction(u_count(k, m), math.factorial(k))
+    if k % 2 == 0:
+        j = k // 2
+        v += Fraction(u_count(j, m) * ((m - 2) * j + 2), 2 * math.factorial(j))
+    assert v.denominator == 1
+    return int(v)
+
+
+@pytest.mark.parametrize("m,top", [(3, 6), (4, 5), (5, 4), (6, 4), (11, 3)])
+def test_canonical_forms_count_the_unlabelled_classes(m, top):
+    for k in range(1, top + 1):
+        forms = {canonical_unlabelled(t).tree.edges for t in enumerate_trees(k, m)}
+        assert len(forms) == _v_count(k, m)
+
+
+def test_v_count_values():
+    # k <= 4 by hand: one colour per edge, and at k = 4 nine paths and one star
+    assert [_v_count(k, 3) for k in range(1, 7)] == [1, 3, 3, 10, 18, 57]
+    assert _v_count(5, 4) == 91
 
 
 def test_canonical_forms_of_a_deep_path():
