@@ -288,6 +288,16 @@ def validate_tree(raw_edges: Sequence[Sequence[int]], k: int, m: int) -> Coloure
     return ColouredTree(k, m, raw_edges)
 
 
+def _check_permutation(entries, k: int, what: str) -> None:
+    """Refuse entries unless they are k ints listing 1..k once each; an
+    entry that is no int (a bool, a float) is MalformedJSON, since in a set
+    True and 1.0 equal 1."""
+    if not _is_int(entries, None):
+        raise MalformedJSON(f"{what} {entries} has an entry that is no integer")
+    if len(entries) != k or set(entries) != set(range(1, k + 1)):
+        raise WrongCircularOrder(f"{what} {entries} is not a permutation of 1..{k}")
+
+
 @dataclass(frozen=True)
 class CircularOrder:
     """The permutation S_m o S_{m-1} o ... o S_1 of the vertices, as a tuple
@@ -321,12 +331,11 @@ class CircularOrder:
     @classmethod
     def from_cycle(cls, cycle: Sequence[int]) -> "CircularOrder":
         """Build the permutation that is the given cycle (fixing nothing else);
-        the cycle must use every vertex 1..k exactly once."""
-        k = len(cycle)
-        if set(cycle) != set(range(1, k + 1)):
-            raise WrongCircularOrder(f"cycle {tuple(cycle)} does not list 1..{k} once each")
-        perm = [0] * k
-        for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+        the cycle must use every vertex 1..k exactly once, each an int."""
+        cycle = tuple(cycle)
+        _check_permutation(cycle, len(cycle), "cycle")
+        perm = [0] * len(cycle)
+        for a, b in zip(cycle, cycle[1:] + (cycle[0],)):
             perm[a - 1] = b
         return cls(tuple(perm))
 

@@ -1,7 +1,9 @@
 """Closed-form counts, the identities connecting them, and exhaustive
 generators.  Trees have one generator: the circular-order class built from
 the rooted tree shapes, which `induction.orbit` uses as it is and
-`enumerate_trees` relabels onto every k-cycle.
+`enumerate_trees` relabels onto every k-cycle.  It is family (1)'s
+generator too: `enumerate_diagrams` draws the class of the descending order
+arc for edge as the connected noncrossing diagrams.
 
 Everything here is exact integer (or exact rational) arithmetic; any
 non-exact division in a closed form is treated as a bug and raises.
@@ -22,9 +24,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree, _check_size, _relabelled
+from .core import CircularOrder, ColouredTree, _check_permutation, _check_size, _relabelled
 from .diagrams import RnaDiagram, is_connected
-from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange, WrongCircularOrder
+from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange
 
 DEFAULT_MAX_WORK = 1_000_000
 
@@ -369,8 +371,7 @@ def enumerate_trees(
     else:
         if not isinstance(order, CircularOrder):
             order = CircularOrder(tuple(order))
-        if order.k != k or set(order.perm) != set(range(1, k + 1)):
-            raise WrongCircularOrder(f"order {order.perm} is not a permutation of 1..{k}")
+        _check_permutation(order.perm, k, "order")
         cycles = [order.cycle_of(1)]
         if len(cycles[0]) != k:  # no k-cycle: no tree has this order
             return
@@ -387,15 +388,32 @@ def enumerate_diagrams(
     noncrossing_only: bool = False,
 ) -> Iterator[RnaDiagram]:
     """Yield every RNA m-diagram of degree k matching the flags, without
-    duplicates.  Processes slots in position order; each slot is either left
-    free or matched with a later slot carrying the same base (positions equal
-    mod m).
+    duplicates.
 
-    Arcs join slots of one base only, so a diagram is one partial matching
-    of each base's k slots: the walk visits I(k)^m diagrams, which is the
-    guard.  Only with noncrossing_only is the Motzkin number M_{km} a bound
-    too, and the guard is the smaller of the two."""
+    With both flags these are family (1), made from the class of the
+    descending order (k k-1 ... 1) by drawing each edge (u, v, c) as the arc
+    from slot (u, c) to slot (v, c), the inverse of
+    `bijections.diagram_to_forest`, in the order `_order_class` yields the
+    class.  That map takes a noncrossing diagram to a forest meeting the
+    ordering conditions: no two components interleave, and sigma sends each
+    vertex to the next smaller one of its component and the least to the
+    greatest.  Connected, the forest is one tree and sigma is (k k-1 ... 1).
+    So the connected noncrossing diagrams are exactly the images of the
+    T_{k,m} trees of that class, each once.  The guard is T_{k,m}, and its
+    k-1 arc entries per diagram.
+
+    Otherwise slots are processed in position order; each slot is either
+    left free or matched with a later slot carrying the same base (positions
+    equal mod m).  Arcs join slots of one base only, so a diagram is one
+    partial matching of each base's k slots: the walk visits I(k)^m
+    diagrams, which is the guard.  Only with noncrossing_only is the Motzkin
+    number M_{km} a bound too, and the guard is the smaller of the two."""
     _check_size(k, m)
+    if connected_only and noncrossing_only:
+        _guard("enumerate_diagrams", ("T", k, m), k - 1)
+        for t in _order_class(m, CircularOrder.descending(k)):
+            yield RnaDiagram(k, m, tuple(((u, c), (v, c)) for u, v, c in t.edges))
+        return
     limit = _work_limit()
     bound = _involution_power(k, m, limit)
     if noncrossing_only:

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     Chain,
+    CircularOrder,
     ColouredTree,
     Edge,
     _chain_path,
@@ -32,7 +33,7 @@ from .core import (
     circular_order,
     maximal_chains,
 )
-from .counting import _guard, _order_class
+from .counting import _guard, _order_class, enumerate_trees
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -178,9 +179,7 @@ def decompose_Rij(
         for sub in _chains_within(cur, l, l + 1, inside):
             steps.append(InductionStep("R", l, l + 1, sub.vertices))
             cur = apply_R(cur, sub, l, l + 1)
-    whole = next(
-        cc for cc in maximal_chains(cur, j - 1, j) if cc.vertex_set == inside
-    )
+    whole = _resolve_chain(cur, inside, j - 1, j)
     steps.append(InductionStep("R", j - 1, j, whole.vertices))
     cur = apply_R(cur, whole, j - 1, j)
     for l in range(j - 2, i - 1, -1):
@@ -298,11 +297,19 @@ def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:
 def sigma_invariance_witness(
     k: int, m: int, i: int, j: int
 ) -> tuple[ColouredTree, Chain] | None:
-    """Search all trees on (k, m) for a maximal S_i-S_j chain on which R_{i,j}
-    changes the circular order; returns the first witness or None."""
-    from .counting import enumerate_trees
+    """Search the trees on (k, m) for a maximal S_i-S_j chain on which R_{i,j}
+    changes the circular order; returns the first witness or None.
 
-    for tree in enumerate_trees(k, m):
+    Only the class of (1 2 ... k) is scanned, sorted by edges, which is the
+    first class `enumerate_trees(k, m)` yields, and it decides for all
+    trees.  A relabelling lambda maps the maximal chains of a tree t onto
+    those of lambda(t), commutes with R_{i,j} and conjugates the circular
+    order: sigma(lambda(t)) = lambda sigma(t) lambda^-1.  So R_{i,j} on c
+    changes sigma(t) exactly when R_{i,j} on lambda(c) changes
+    sigma(lambda(t)).  Every tree is a relabelling of one in the class,
+    since all k-cycles are conjugate, so a class with no witness means no
+    tree has one.  The scan is guarded by T_{k,m}, not U_{k,m}."""
+    for tree in enumerate_trees(k, m, CircularOrder.from_cycle(range(1, k + 1))):
         for c in maximal_chains(tree, i, j):
             if len(c.vertices) == 1:
                 continue

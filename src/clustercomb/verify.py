@@ -166,6 +166,8 @@ def bijection_suite(k: int = 3, m: int = 3) -> list[Check]:
       (k k-1 ... 1), through the rooted tree and the rooted angulation;
     - tree<->angulation round trips: every unlabelled tree, whose angulation
       is also its own canonical rotation with k faces on (m-2)k+2 vertices;
+      the unlabelled trees are the distinct canonical forms of the class of
+      (1 2 ... k), which holds a relabelling of every tree;
     - six-family chain: every member of family (2) goes 2 -> t -> 2 for each
       target t in 1, 3, 4, 5, 6, and every member of family (4) goes
       4 -> t -> 4 for t in 1 and 6, so family (4) maps injectively into
@@ -192,8 +194,11 @@ def bijection_suite(k: int = 3, m: int = 3) -> list[Check]:
         )
 
     def unlabelled_trees():
+        # every tree is a relabelling of one in the class of (1 2 ... kk),
+        # since all kk-cycles are conjugate, so the class has every form
         for kk in ks:
-            for u in dict.fromkeys(canonical_unlabelled(t) for t in cnt.enumerate_trees(kk, m)):
+            cls = cnt.enumerate_trees(kk, m, CircularOrder.from_cycle(range(1, kk + 1)))
+            for u in dict.fromkeys(map(canonical_unlabelled, cls)):
                 yield {"tree": u}
 
     def angulation_round_trips(tree: ColouredTree) -> bool:

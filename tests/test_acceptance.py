@@ -13,7 +13,7 @@ import functools
 
 from clustercomb import counting as cnt
 from clustercomb import induction as ind
-from clustercomb.core import CircularOrder, circular_order, is_k_cycle, maximal_chains
+from clustercomb.core import CircularOrder, circular_order, is_k_cycle, relabel
 from clustercomb.diagrams import is_connected, is_noncrossing, is_saturated
 from clustercomb.verify import angulation_suite, bijection_suite, formulas, induction_suite
 
@@ -85,23 +85,20 @@ def test_acceptance_7_counterexample_existence():
     witness = ind.sigma_invariance_witness(6, 3, 1, 3)
     assert witness is not None
     tree, chain = witness
-    assert circular_order(ind.apply_R(tree, chain, 1, 3)) != circular_order(tree)
-    # a witness with sigma(3) = 6 before and 5 after exists under some labelling
-    figure_like = None
-    for t in cnt.enumerate_trees(6, 3):
-        sig = circular_order(t)
-        if sig(3) != 6:
-            continue
-        for c in maximal_chains(t, 1, 3):
-            if len(c.vertices) == 1:
-                continue
-            s2 = circular_order(ind.apply_R(t, c, 1, 3))
-            if s2 != sig and s2(3) == 5:
-                figure_like = (t, c)
-                break
-        if figure_like:
-            break
-    assert figure_like is not None
+    after = circular_order(ind.apply_R(tree, chain, 1, 3))
+    sig = circular_order(tree)
+    assert after != sig
+    # a witness with sigma(3) = 6 before and 5 after exists under some
+    # labelling: take x where the orders differ, and a relabelling lam with
+    # lam(x) = 3, lam(sigma(x)) = 6 and lam(after(x)) = 5
+    x = next(v for v in range(1, 7) if sig(v) != after(v))
+    fixed = {x: 3, sig(x): 6, after(x): 5}
+    rest = iter(v for v in range(1, 7) if v not in fixed.values())
+    lam = {v: fixed[v] if v in fixed else next(rest) for v in range(1, 7)}
+    t = relabel(tree, lam)
+    sig_t = circular_order(t)
+    s2 = circular_order(ind.apply_R(t, frozenset(lam[v] for v in chain.vertices), 1, 3))
+    assert sig_t(3) == 6 and s2 != sig_t and s2(3) == 5
     assert ind.sigma_invariance_witness(6, 3, 1, 2) is None
     assert ind.sigma_invariance_witness(6, 3, 2, 3) is None
     print(

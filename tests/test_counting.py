@@ -18,7 +18,13 @@ from clustercomb.counting import (
     t_count,
     u_count,
 )
-from clustercomb.errors import SizeLimitExceeded, VertexOutOfRange, WrongCircularOrder
+from clustercomb.diagrams import is_connected
+from clustercomb.errors import (
+    MalformedJSON,
+    SizeLimitExceeded,
+    VertexOutOfRange,
+    WrongCircularOrder,
+)
 from clustercomb.induction import orbit
 from clustercomb.tables import U_TABLE
 
@@ -371,6 +377,67 @@ def test_orders_that_are_no_permutation_are_refused(call):
     # and such a cycle indexes outside 1..k or builds no permutation
     with pytest.raises(WrongCircularOrder):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CircularOrder.from_cycle((True, 2)),
+        lambda: CircularOrder.from_cycle((1.0, 2)),
+        lambda: next(enumerate_trees(2, 3, order=(2, True))),
+        lambda: next(enumerate_trees(2, 3, order=(2.0, 1))),
+    ],
+    ids=["cycle-bool", "cycle-float", "order-bool", "order-float"],
+)
+def test_order_entries_that_are_no_int_are_refused(call):
+    # in a set True and 1.0 equal 1, so these passed the permutation check:
+    # a bool became a vertex, a float an index
+    with pytest.raises(MalformedJSON, match="no integer"):
+        call()
+
+
+def test_family_1_is_the_walks_connected_noncrossing_set():
+    # the descending class drawn arc for edge against the partial-matching
+    # walk filtered by connectivity, at every size the walk admits
+    sizes = 0
+    for m in range(1, 8):
+        for k in range(1, 7):
+            try:
+                walked = [d for d in enumerate_diagrams(k, m, noncrossing_only=True)
+                          if is_connected(d)]
+            except SizeLimitExceeded:
+                continue
+            drawn = list(enumerate_diagrams(k, m, True, True))
+            assert len(set(drawn)) == len(drawn) == t_count(k, m), (k, m)
+            assert set(drawn) == set(walked), (k, m)
+            sizes += 1
+    assert sizes == 34
+
+
+def test_family_1_takes_no_walk(monkeypatch):
+    # (7, 3) was refused by min(I(7)^3, M_21); T = 1001 admits it, and no
+    # connectivity test runs
+    def refuse(d):
+        raise AssertionError("family (1) walked and filtered")
+
+    monkeypatch.setattr(counting, "is_connected", refuse)
+    assert len(set(enumerate_diagrams(7, 3, True, True))) == t_count(7, 3) == 1001
+
+
+def test_family_1_is_guarded_by_t(monkeypatch):
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: output bound 1931540 "):
+        next(enumerate_diagrams(13, 3, True, True))
+    # and by its k - 1 arc entries per diagram: T(12, 3) = 534 888 is within
+    # a limit of 550 000, but its 11 arcs each are more than ten times that
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "550000")
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: 5883768 edge entries"):
+        next(enumerate_diagrams(12, 3, True, True))
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "1001")
+    assert sum(1 for _ in enumerate_diagrams(7, 3, True, True)) == 1001
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "1000")
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: output bound 1001 "):
+        next(enumerate_diagrams(7, 3, True, True))
 
 
 @pytest.mark.parametrize(

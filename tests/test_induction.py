@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from clustercomb.core import (
     canonical_unlabelled,
     circular_order,
     maximal_chains,
+    relabel,
     validate_tree,
 )
 from clustercomb.counting import enumerate_trees, t_count
@@ -295,6 +298,72 @@ def test_equivalent_cross_checks_orbit_membership():
     orb = orbit(trees[0])
     for t in trees:
         assert equivalent(trees[0], t) == (t in orb)
+
+
+def _ref_witnesses(trees, i, j):
+    """Each (tree, chain) of `trees`, in turn, on which R_{i,j} changes the
+    circular order."""
+    for tree in trees:
+        for c in maximal_chains(tree, i, j):
+            if len(c.vertices) == 1:
+                continue
+            t2 = apply_R(tree, c, i, j)
+            if circular_order(t2) != circular_order(tree):
+                yield tree, c
+
+
+def _ref_sigma_invariance_witness(k, m, i, j):
+    """The first witness over all U labelled trees, or None: the labelled
+    scan that the class scan replaces."""
+    return next(_ref_witnesses(enumerate_trees(k, m), i, j), None)
+
+
+# every i < j at these sizes; (5, 4) and (5, 5) scan 10 920 and 34 200
+# labelled trees per pair, 2.1 s and 13 s in all, so they stay out
+WITNESS_SIZES = [(k, 3) for k in range(1, 6)] + [(k, m) for m in (4, 5) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("k,m", WITNESS_SIZES)
+def test_witness_scan_matches_the_labelled_reference(k, m):
+    # the same first witness, and (k-1)! labelled witnesses per class one
+    ascending = CircularOrder.from_cycle(range(1, k + 1))
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        labelled = list(_ref_witnesses(enumerate_trees(k, m), i, j))
+        in_class = list(_ref_witnesses(enumerate_trees(k, m, ascending), i, j))
+        assert sigma_invariance_witness(k, m, i, j) == next(iter(labelled), None)
+        assert len(labelled) == math.factorial(k - 1) * len(in_class), (i, j)
+
+
+def test_witness_scan_matches_the_labelled_reference_at_6_3():
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        assert sigma_invariance_witness(6, 3, i, j) == _ref_sigma_invariance_witness(6, 3, i, j)
+
+
+@pytest.mark.parametrize("k,m", [(4, 3), (3, 4), (5, 3)])
+def test_relabelling_commutes_with_R_and_conjugates_sigma(k, m):
+    # what lets one sigma-class stand for all in the witness scan.  The
+    # relabellings are the rotation v -> v+1 (k -> 1) and the transposition
+    # (1 2); they generate S_k, and relabelling is a group action, so on
+    # every tree these two give every relabelling.  R on an edgeless chain
+    # is the identity, which commutes with anything.
+    generators = (
+        {v: v % k + 1 for v in range(1, k + 1)},
+        {v: {1: 2, 2: 1}.get(v, v) for v in range(1, k + 1)},
+    )
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    for t in enumerate_trees(k, m):
+        sig = circular_order(t)
+        images = [(lam, relabel(t, lam)) for lam in generators]
+        for lam, lt in images:
+            lsig = circular_order(lt)
+            assert all(lsig(lam[v]) == lam[sig(v)] for v in range(1, k + 1))
+        for i, j in pairs:
+            for c in maximal_chains(t, i, j):
+                if len(c.vertices) > 1:
+                    r = apply_R(t, c, i, j)
+                    for lam, lt in images:
+                        lc = frozenset(lam[v] for v in c.vertices)
+                        assert apply_R(lt, lc, i, j) == relabel(r, lam)
 
 
 def test_witness_none_for_adjacent():
