@@ -38,7 +38,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .core import ColouredTree, _check_ints, _FromJson, _is_int, maximal_chains
+from .core import ColouredTree, _check_ints, _FromJson, _is_int, _trusted, maximal_chains
 from .errors import (
     BadDiagonalModulus,
     DiagonalsCross,
@@ -66,13 +66,6 @@ def _checked_edge(name: str, edge) -> Sequence[int]:
     if not _is_int(edge, 2):
         raise MalformedJSON(f'"{name}" must be an [a, b] integer pair, got {edge!r}')
     return edge
-
-
-def _trusted(cls, **fields):
-    """A `cls` with these fields, stored as its constructor stores them, unchecked."""
-    self = object.__new__(cls)
-    self.__dict__.update(fields)
-    return self
 
 
 @dataclass(frozen=True)

@@ -298,11 +298,15 @@ class PlaneTree(_FromJson):
 
 # -- the six-family chain ---------------------------------------------------------------
 
-def _family1_check(x: RnaDiagram) -> None:
+def _check_connected_noncrossing(x: RnaDiagram) -> None:
     if not is_noncrossing(x):
         raise NotInFamily(1, "diagram is crossing")
     if not is_connected(x):
         raise NotInFamily(1, "diagram is not connected")
+
+
+def _family1_check(x: RnaDiagram) -> None:
+    _check_connected_noncrossing(x)
     for (v1, r1), (v2, r2) in x.arcs:
         if (v1 == x.k and r1 != 1) or (v2 == x.k and r2 != 1):
             raise NotInFamily(1, f"last vertex carries an arc on S_{max(r1, r2)}")
@@ -502,7 +506,9 @@ def family_chain(x, from_item: int, to_item: int):
 def vertex1_decompose(diagram: RnaDiagram):
     """Split a connected noncrossing diagram by the arc at slot (1, S_1):
     ("extend", bigger) when the slot is free, else ("split", (left, right))
-    cutting at the arc's far vertex."""
+    cutting at the arc's far vertex.  Any other diagram is refused as
+    NotInFamily(1)."""
+    _check_connected_noncrossing(diagram)
     arc_at = next(
         (arc for arc in diagram.arcs if (1, 1) in arc),
         None,
@@ -550,7 +556,9 @@ def sigma_decompose(diagram: RnaDiagram) -> tuple[RnaDiagram, ...]:
     """Cut a connected noncrossing diagram into the m windows traced by
     applying S_1, ..., S_m to vertex 1; window j becomes a connected
     noncrossing diagram of degree k_j + 1 whose first and last vertices are
-    joined by an arc on S_j (degree 1 when S_j fixes the walk)."""
+    joined by an arc on S_j (degree 1 when S_j fixes the walk).  Any other
+    diagram is refused as NotInFamily(1)."""
+    _check_connected_noncrossing(diagram)
     k, m = diagram.k, diagram.m
     slot_arc = {s: arc for arc in diagram.arcs for s in arc}
     marks = [1]

@@ -21,8 +21,10 @@ is proper by a stated argument build their trees with
 class generator in `counting` and the relabellings of its class that
 `enumerate_trees` yields, the R/L successors in `induction`, the canonical
 relabellings here and the descending relabelling in `bijections`.  Each
-call site states its argument; `angulations._trusted` does the same for the
-colourings and canonical rotations of angulations.
+call site states its argument.  `_trusted` does the same for the frozen
+objects of the other modules: the colourings and canonical rotations of
+angulations, and the diagrams `counting.enumerate_diagrams` builds unless
+both of its flags are set.
 The slot table `nbr` is filled by validation, or from the edges on its first
 read, so a tree whose table nobody reads never builds one.
 
@@ -83,6 +85,13 @@ def _check_ints(**fields) -> None:
     for name, value in fields.items():
         if not _is_int(value):
             raise MalformedJSON(f'"{name}" must be an integer, got {value!r}')
+
+
+def _trusted(cls, **fields):
+    """A `cls` with these fields, stored as its constructor stores them, unchecked."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
 
 
 def _checked_object(d) -> dict:
@@ -331,8 +340,11 @@ class CircularOrder:
     @classmethod
     def from_cycle(cls, cycle: Sequence[int]) -> "CircularOrder":
         """Build the permutation that is the given cycle (fixing nothing else);
-        the cycle must use every vertex 1..k exactly once, each an int."""
+        the cycle must use every vertex 1..k exactly once, each an int, and
+        k >= 1."""
         cycle = tuple(cycle)
+        if not cycle:  # no vertex, so no tree has this order
+            raise VertexOutOfRange("a cycle needs at least one vertex, got ()")
         _check_permutation(cycle, len(cycle), "cycle")
         perm = [0] * len(cycle)
         for a, b in zip(cycle, cycle[1:] + (cycle[0],)):

@@ -1,18 +1,20 @@
 """Closed-form counts, the identities connecting them, and exhaustive
 generators.  Trees have one generator: the circular-order class built from
 the rooted tree shapes, which `induction.orbit` uses as it is and
-`enumerate_trees` relabels onto every k-cycle.  It is family (1)'s
-generator too: `enumerate_diagrams` draws the class of the descending order
-arc for edge as the connected noncrossing diagrams.
+`enumerate_trees` relabels onto every k-cycle.  It generates the
+noncrossing diagrams too: `enumerate_diagrams` draws, on each block of a
+noncrossing partition, a tree of the class of the descending order arc for
+edge, and family (1), the connected ones, is the one-block case.  Diagrams
+that may cross are the products of one partial matching per base.
 
 Everything here is exact integer (or exact rational) arithmetic; any
 non-exact division in a closed form is treated as a bug and raises.
 
-The generators are desk-scale tools.  Each call estimates the size of its
-output from a closed-form bound and refuses runs whose bound exceeds the
-work limit (default 1_000_000 objects, overridable through the
-CLUSTERCOMB_MAX_WORK environment variable), or whose trees' edge entries
-exceed ten times it.
+The generators are desk-scale tools.  Each call refuses a k or m that is
+no int, then computes the size of its output, an exact count or a bound,
+and refuses runs whose size exceeds the work limit (default 1_000_000
+objects, overridable through the CLUSTERCOMB_MAX_WORK environment
+variable), or whose edge or arc entries exceed ten times it.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import CircularOrder, ColouredTree, _check_permutation, _check_size, _relabelled
+from .core import (CircularOrder, ColouredTree, _check_ints, _check_permutation, _check_size,
+                   _relabelled, _trusted)
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange
 
@@ -220,33 +223,14 @@ def check_gkp_identity(n: int, r: int, s: int, t: int) -> bool:
 
 def _involution_power(k: int, m: int, cap: int) -> int:
     """I(k)^m, where I(k) counts the involutions of k points (A000085),
-    I(k) = I(k-1) + (k-1) I(k-2); or, as in _motzkin, the first term above
-    cap met on the way, which is no larger and is refused the same way."""
+    I(k) = I(k-1) + (k-1) I(k-2); or the first term above cap met on the
+    way, which is no larger and is refused the same way."""
     a, b = 1, 1  # I(0), I(1)
     for i in range(2, k + 1):
         if b > cap:
             return b
         a, b = b, b + (i - 1) * a
-    power = 1
-    for _ in range(m):
-        power *= b
-        if power > cap:
-            break
-    return power
-
-
-def _motzkin(n: int, cap: int) -> int:
-    """Number of partial noncrossing matchings on n points; an upper bound on
-    the number of noncrossing diagrams with n = k*m slots.  Motzkin numbers
-    never decrease, so the first term above cap is returned at once: the
-    guard refuses it as it would the n-th, without the rest of the
-    quadratic big-integer work."""
-    mot = [1, 1]
-    for i in range(1, n):
-        if mot[-1] > cap:
-            return mot[-1]
-        mot.append(mot[-1] + sum(mot[j] * mot[i - 1 - j] for j in range(i)))
-    return mot[n]
+    return next((b**e for e in range(1, m + 1) if b**e > cap), b**m)
 
 
 def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
@@ -364,6 +348,7 @@ def enumerate_trees(
     come in lexicographic order of (a_2, ..., a_k) and the whole is guarded
     by U; with an order its cycle through 1 is the only one, guarded by T,
     and a cycle shorter than k yields nothing."""
+    _check_ints(k=k, m=m)
     _check_size(k, m)  # the trees are built trusted, so their size is checked here
     _guard("enumerate_trees", ("U" if order is None else "T", k, m), k - 1)
     if order is None:
@@ -381,81 +366,105 @@ def enumerate_trees(
         yield from sorted((_relabelled(t, label) for t in base), key=lambda t: t.edges)
 
 
+def _noncrossing_count(k: int, m: int, cap: int) -> int:
+    """N(k, m), the number of noncrossing RNA m-diagrams of degree k, from
+    N = 1 + sum_r T_{r,m} x^r N^r: the block of vertex 1 has r vertices and
+    leaves r gaps, each holding a noncrossing diagram (see
+    `enumerate_diagrams`).  At m = 1 this is the Motzkin sequence.  A free
+    last vertex extends each diagram, so N never decreases in k and, as in
+    _involution_power, the first term above cap is returned at once."""
+    ns = [1]  # N_0, N_1, ...
+    powers = [None, ns]  # powers[r][j] = [x^j] N^r, one entry more each step; N^1 is ns
+    for n in range(1, k + 1):
+        if ns[-1] > cap:
+            return ns[-1]
+        powers.append([1])
+        for r in range(2, n):
+            powers[r].append(sum(ns[i] * powers[r - 1][n - r - i] for i in range(n - r + 1)))
+        ns.append(sum(t_count(r, m) * powers[r][n - r] for r in range(1, n + 1)))
+    return ns[k]
+
+
+def _matchings(points: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """The I(len(points)) partial matchings of points: the first point free,
+    or matched with each later one."""
+    if len(points) < 2:
+        return [()]
+    a, rest = points[0], points[1:]
+    return _matchings(rest) + [((a, b), *pairs) for i, b in enumerate(rest)
+                               for pairs in _matchings(rest[:i] + rest[i + 1:])]
+
+
 def enumerate_diagrams(
-    k: int,
-    m: int,
-    connected_only: bool = False,
-    noncrossing_only: bool = False,
+    k: int, m: int, connected_only: bool = False, noncrossing_only: bool = False
 ) -> Iterator[RnaDiagram]:
     """Yield every RNA m-diagram of degree k matching the flags, without
     duplicates.
 
-    With both flags these are family (1), made from the class of the
-    descending order (k k-1 ... 1) by drawing each edge (u, v, c) as the arc
-    from slot (u, c) to slot (v, c), the inverse of
-    `bijections.diagram_to_forest`, in the order `_order_class` yields the
-    class.  That map takes a noncrossing diagram to a forest meeting the
-    ordering conditions: no two components interleave, and sigma sends each
-    vertex to the next smaller one of its component and the least to the
-    greatest.  Connected, the forest is one tree and sigma is (k k-1 ... 1).
-    So the connected noncrossing diagrams are exactly the images of the
-    T_{k,m} trees of that class, each once.  The guard is T_{k,m}, and its
-    k-1 arc entries per diagram.
+    Noncrossing diagrams are forests of descending classes.
+    `bijections.diagram_to_forest` draws each arc (u, c)-(v, c) as the edge
+    (u, v, c) and takes a noncrossing diagram to a forest meeting the
+    ordering conditions: no two components interleave, so they form a
+    noncrossing partition of 1..k, and sigma sends each vertex to the next
+    smaller one of its component and the least to the greatest.  So a
+    noncrossing diagram is a noncrossing partition with, on each block B,
+    one tree of the class of the descending order (r r-1 ... 1), r = |B|,
+    relabelled onto B in increasing order, which keeps its arcs noncrossing;
+    distinct choices give distinct diagrams.  The block of vertex 1 is
+    chosen first, then each gap it leaves is filled the same way, and the
+    guard is their exact count N(k, m) (_noncrossing_count) and its k-1 arc
+    entries per diagram.
 
-    Otherwise slots are processed in position order; each slot is either
-    left free or matched with a later slot carrying the same base (positions
-    equal mod m).  Arcs join slots of one base only, so a diagram is one
-    partial matching of each base's k slots: the walk visits I(k)^m
-    diagrams, which is the guard.  Only with noncrossing_only is the Motzkin
-    number M_{km} a bound too, and the guard is the smaller of the two."""
+    Connected, the partition is one block: these are family (1), the
+    T_{k,m} trees of the descending class drawn arc for edge, in the order
+    `_order_class` yields the class, guarded by T_{k,m} and k-1 arc entries.
+
+    Without noncrossing_only, arcs join slots of one base only, so a
+    diagram is one partial matching of 1..k per base: the product of the
+    I(k) matchings over the m bases, I(k)^m diagrams of at most m floor(k/2)
+    arcs, which is the guard.  connected_only filters that product.
+
+    These two constructions build their diagrams unchecked: each arc joins
+    slots of one base at two vertices, the lower first, no slot is used
+    twice (a tree has one edge per colour at a vertex, and blocks and
+    matchings are disjoint), and sorting the arcs as tuples sorts them by
+    the position of their first slot, the order the constructor stores."""
+    _check_ints(k=k, m=m)
     _check_size(k, m)
     if connected_only and noncrossing_only:
         _guard("enumerate_diagrams", ("T", k, m), k - 1)
         for t in _order_class(m, CircularOrder.descending(k)):
             yield RnaDiagram(k, m, tuple(((u, c), (v, c)) for u, v, c in t.edges))
         return
-    limit = _work_limit()
-    bound = _involution_power(k, m, limit)
     if noncrossing_only:
-        bound = min(bound, _motzkin(k * m, limit))
-    _guard("enumerate_diagrams", bound)
-    n = k * m
+        _guard("enumerate_diagrams", _noncrossing_count(k, m, _work_limit()), k - 1)
+        drawn = {r: [t.edges for t in _order_class(m, CircularOrder.descending(r))]
+                 for r in range(1, k + 1)}
 
-    def slot(p: int) -> tuple[int, int]:
-        return ((p - 1) // m + 1, (p - 1) % m + 1)
+        def fill(lo: int, hi: int) -> Iterator[tuple]:
+            """The noncrossing arc sets on the vertices lo..hi, lo <= hi."""
+            for r in range(1, hi - lo + 2):
+                trees = drawn[r]  # none with r > 2 at m = 1
+                for rest in itertools.combinations(range(lo + 1, hi + 1), r - 1) if trees else ():
+                    label = (0, lo, *rest)
+                    own = [tuple(((label[u], c), (label[v], c)) for u, v, c in edges)
+                           for edges in trees]
+                    gaps = (fill(a + 1, b - 1) if b - a > 1 else [()]
+                            for a, b in zip(label[1:], (*rest, hi + 1)))
+                    for parts in itertools.product(own, *gaps):
+                        yield tuple(itertools.chain.from_iterable(parts))
 
-    taken = [False] * (n + 1)
-    arcs: list[tuple[int, int]] = []
-
-    def rec(p: int) -> Iterator[RnaDiagram]:
-        # a slot of the last degree has no later partner: it stays free
-        # without a recursion level, so the walk is at most (k-1)m deep
-        while p <= n and (taken[p] or p > n - m):
-            p += 1
-        if p > n:
-            d = RnaDiagram(k, m, tuple((slot(a), slot(b)) for a, b in arcs))
-            if connected_only and not is_connected(d):
-                return
+        for arcs in fill(1, k):
+            yield _trusted(RnaDiagram, k=k, m=m, arcs=tuple(sorted(arcs)))
+        return
+    _guard("enumerate_diagrams", _involution_power(k, m, _work_limit()), m * (k // 2))
+    matchings = _matchings(tuple(range(1, k + 1)))
+    bases = [[tuple(((u, c), (v, c)) for u, v in pairs) for pairs in matchings]
+             for c in range(1, m + 1)]
+    for arcs in itertools.product(*bases):
+        d = _trusted(RnaDiagram, k=k, m=m, arcs=tuple(sorted(itertools.chain.from_iterable(arcs))))
+        if not connected_only or is_connected(d):
             yield d
-            return
-        # slot p left unmatched
-        taken[p] = True
-        yield from rec(p + 1)
-        taken[p] = False
-        # slot p matched with a later equal-base slot q; all existing arcs
-        # start before p, so a crossing can only be a < p < b < q
-        for q in range(p + m, n + 1, m):
-            if taken[q]:
-                continue
-            if noncrossing_only and any(b > p and b < q for _, b in arcs):
-                continue
-            taken[p] = taken[q] = True
-            arcs.append((p, q))
-            yield from rec(p + 1)
-            arcs.pop()
-            taken[p] = taken[q] = False
-
-    yield from rec(1)
 
 
 def enumerate_angulations(k: int, m: int) -> Iterator[MAngulation]:
@@ -469,6 +478,7 @@ def enumerate_angulations(k: int, m: int) -> Iterator[MAngulation]:
     The compositions (p_1, ..., p_{m-1}) come in lexicographic order (stars
     and bars), and the arcs' angulations combine with the first arc
     outermost."""
+    _check_ints(k=k, m=m)
     if m < 3 or k < 1:  # as MAngulation; the 2-gon's one dissection is no 2-angulation
         raise VertexOutOfRange("need m >= 3 and k >= 1")
     _guard("enumerate_angulations", ("S", k, m))

@@ -357,6 +357,26 @@ def test_vertex1_decompose_round_trips_and_counts():
         assert sum(by_v.values()) == t_count(k, 3)
 
 
+@pytest.mark.parametrize("decompose", [vertex1_decompose, sigma_decompose])
+def test_decompositions_refuse_diagrams_outside_family_1(decompose):
+    # every diagram at (3, 3) but the 9 connected noncrossing ones is
+    # refused before any work as NotInFamily(1), not an InvariantBroken or
+    # a result: 45 crossing ones, 33 of them connected, and 10 disconnected
+    # noncrossing ones
+    reasons = []
+    for d in enumerate_diagrams(3, 3):
+        if is_connected(d) and is_noncrossing(d):
+            continue
+        with pytest.raises(NotInFamily) as err:
+            decompose(d)
+        assert err.value.family == 1
+        reasons.append((err.value.reason, is_connected(d)))
+    assert reasons.count(("diagram is crossing", True)) == 33
+    assert reasons.count(("diagram is crossing", False)) == 12
+    assert reasons.count(("diagram is not connected", False)) == 10
+    assert len(reasons) == 64 - 9
+
+
 def test_sigma_decompose_examples():
     single = RnaDiagram(1, 3, ())
     parts = sigma_decompose(single)

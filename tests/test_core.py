@@ -192,6 +192,14 @@ def test_is_k_cycle():
                 assert is_k_cycle(circular_order(t))
 
 
+def test_empty_cycle_is_refused():
+    # a cycle of no vertex describes no tree; it passed the permutation
+    # check as a permutation of 1..0 and raised IndexError
+    with pytest.raises(VertexOutOfRange, match="at least one vertex"):
+        CircularOrder.from_cycle(())
+    assert CircularOrder.from_cycle((1,)) == CircularOrder((1,))
+
+
 def test_maximal_chains_examples():
     path = validate_tree([(1, 2, 1), (2, 3, 2)], 3, 3)
     assert [c.vertices for c in maximal_chains(path, 1, 2)] == [(1, 2, 3)]

@@ -18,7 +18,6 @@ from clustercomb.counting import (
     t_count,
     u_count,
 )
-from clustercomb.diagrams import is_connected
 from clustercomb.errors import (
     MalformedJSON,
     SizeLimitExceeded,
@@ -139,15 +138,19 @@ def test_enumerate_diagrams_counts():
 
 
 def test_diagram_guard_stops_at_the_first_motzkin_number_above_the_limit(monkeypatch):
-    # Motzkin numbers increase, so M_17 = 2 356 779, the first above the
-    # default limit, refuses k m = 60 noncrossing slots without computing
-    # M_60; without the flag the bound is I(k)^m, and I(14) = 2 390 480 is
-    # the first involution count above the limit; and a slot table above
-    # the bound is refused before any count
+    # the noncrossing counts N(k, m) never decrease, so the first one above
+    # the default limit refuses a larger k without computing N(k, m): at
+    # m = 1 they are the Motzkin numbers, and M_17 = 2 356 779 is the first
+    # above it; at m = 3 it is N(10, 3) = 5 782 767.  Without the flag the
+    # bound is I(k)^m, and I(14) = 2 390 480 is the first involution count
+    # above the limit; and a slot table above the bound is refused before
+    # any count
     monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
     with pytest.raises(SizeLimitExceeded, match="output bound 2356779 exceeds work limit 1000000"):
+        next(enumerate_diagrams(20, 1, noncrossing_only=True))
+    with pytest.raises(SizeLimitExceeded, match="output bound 5782767 exceeds work limit 1000000"):
         next(enumerate_diagrams(20, 3, noncrossing_only=True))
-    with pytest.raises(SizeLimitExceeded, match="output bound 2356779 "):
+    with pytest.raises(SizeLimitExceeded, match="output bound 5782767 "):
         next(enumerate_diagrams(800, 3, noncrossing_only=True))
     with pytest.raises(SizeLimitExceeded, match="output bound 2390480 exceeds work limit 1000000"):
         next(enumerate_diagrams(20, 3))
@@ -155,6 +158,53 @@ def test_diagram_guard_stops_at_the_first_motzkin_number_above_the_limit(monkeyp
         next(enumerate_diagrams(800, 3, connected_only=True))
     with pytest.raises(VertexOutOfRange, match="^k = 2000000 at m = 3 needs 8000004 slots"):
         next(enumerate_diagrams(2_000_000, 3))
+
+
+# N(k, m) for k = 0, 1, ...: the Motzkin numbers (A001006) at m = 1, and
+# at m = 3, 4 the counts of the partial-matching walk `_ref_walk`
+_NONCROSSING = {
+    1: [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634, 310572,
+        853467, 2356779],
+    3: [1, 1, 4, 19, 101, 576, 3445, 21323],
+    4: [1, 1, 5, 31],
+}
+
+
+@pytest.mark.parametrize("m", sorted(_NONCROSSING))
+def test_noncrossing_count_is_pinned(m):
+    assert [counting._noncrossing_count(k, m, 10**9) for k in range(len(_NONCROSSING[m]))] == (
+        _NONCROSSING[m]
+    )
+
+
+@pytest.mark.parametrize("k,m", [(3, 3), (6, 3), (7, 3), (3, 4), (9, 1), (4, 5)])
+def test_noncrossing_guard_is_the_exact_count(monkeypatch, k, m):
+    # admitted at N(k, m), which it yields, and refused at N - 1
+    count = counting._noncrossing_count(k, m, 10**9)
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", str(count))
+    assert sum(1 for _ in enumerate_diagrams(k, m, noncrossing_only=True)) == count
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", str(count - 1))
+    with pytest.raises(SizeLimitExceeded, match=f"^enumerate_diagrams: output bound {count} "):
+        next(enumerate_diagrams(k, m, noncrossing_only=True))
+
+
+def test_diagrams_are_guarded_by_their_arc_entries(monkeypatch):
+    # without --noncrossing a diagram has at most m floor(k/2) arcs: (4, 6)
+    # has I(4)^6 = 10^6 diagrams, within the default limit, but 12 000 000
+    # arc entries; with it, a diagram is a forest of at most k - 1 arcs
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    for connected in (False, True):
+        with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: 12000000 edge entries"):
+            next(enumerate_diagrams(4, 6, connected_only=connected))
+    # and M_16 = 853 467 noncrossing diagrams at (16, 1), of 15 arcs each
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: 12802005 edge entries"):
+        next(enumerate_diagrams(16, 1, noncrossing_only=True))
+    # N(12, 1) = 15 511 diagrams of at most 11 arcs are 170 621 entries
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "17062")
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: 170621 edge entries"):
+        next(enumerate_diagrams(12, 1, noncrossing_only=True))
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "17063")
+    assert sum(1 for _ in enumerate_diagrams(12, 1, noncrossing_only=True)) == 15511
 
 
 def test_unflagged_diagram_guard_is_the_exact_count(monkeypatch):
@@ -396,20 +446,114 @@ def test_order_entries_that_are_no_int_are_refused(call):
         call()
 
 
+def _ref_walk(k, m, noncrossing_only=False):
+    """The arcs of every RNA m-diagram of degree k, or of every noncrossing
+    one, as the diagram stores them, by the partial-matching walk the
+    library used before its generators: slots in position order, each left
+    free or matched with a later slot of the same base.  Each arc is one
+    shared tuple, which keeps a set of the results small."""
+    n = k * m
+    slot = [None] + [((p - 1) // m + 1, (p - 1) % m + 1) for p in range(1, n + 1)]
+    arc = {(p, q): (slot[p], slot[q]) for p in range(1, n + 1) for q in range(p + m, n + 1, m)}
+    taken = [False] * (n + 1)
+    arcs = []
+
+    def rec(p):
+        while p <= n and (taken[p] or p > n - m):
+            p += 1
+        if p > n:
+            yield tuple(map(arc.__getitem__, arcs))
+            return
+        taken[p] = True
+        yield from rec(p + 1)
+        taken[p] = False
+        # all arcs start before p, so a crossing can only be a < p < b < q
+        for q in range(p + m, n + 1, m):
+            if taken[q] or noncrossing_only and any(p < b < q for _, b in arcs):
+                continue
+            taken[p] = taken[q] = True
+            arcs.append((p, q))
+            yield from rec(p + 1)
+            arcs.pop()
+            taken[p] = taken[q] = False
+
+    yield from rec(1)
+
+
+def _ref_connected(k, arcs):
+    """Whether the arcs join the vertices 1..k into one component."""
+    parent = list(range(k + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (u, _), (v, _) in arcs:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(1, k + 1)}) == 1
+
+
+def _ref_admits(k, m, noncrossing_only):
+    """Whether the walk's guard admitted (k, m) at the default limit: I(k)^m
+    diagrams, or with noncrossing_only the smaller of that and the Motzkin
+    number M_{km}, at most 10^6."""
+    inv = [1, 1]
+    mot = [1, 1]
+    for i in range(2, max(k, k * m) + 1):
+        inv.append(inv[-1] + (i - 1) * inv[-2])
+        mot.append(mot[-1] + sum(mot[j] * mot[i - 2 - j] for j in range(i - 1)))
+    bound = inv[k] ** m
+    return min(bound, mot[k * m]) <= 10**6 if noncrossing_only else bound <= 10**6
+
+
+def test_reference_walk_reads_motzkin_and_involution_counts():
+    # the walk's own counts: I(k)^m diagrams, M_{km} noncrossing ones at
+    # m = 1, and the admitted sizes the parent's guards named
+    assert sum(1 for _ in _ref_walk(4, 3)) == 1000
+    assert sum(1 for a in _ref_walk(3, 3) if _ref_connected(3, a)) == 42
+    assert [sum(1 for _ in _ref_walk(k, 1, noncrossing_only=True)) for k in range(1, 9)] == (
+        _NONCROSSING[1][1:9]
+    )
+    assert _ref_admits(6, 3, False) and not _ref_admits(6, 4, False)
+    assert _ref_admits(5, 3, True) and _ref_admits(8, 2, True) and not _ref_admits(6, 7, True)
+
+
+# the sizes with k <= 6 and m <= 7 that the walk admitted with at least one
+# of the three flag combinations it served
+_WALKED = [(k, m) for m in range(1, 8) for k in range(1, 7) if _ref_admits(k, m, True)]
+
+
+@pytest.mark.parametrize("k,m", _WALKED)
+def test_walked_combinations_match_the_reference_walk(k, m):
+    # each of the three combinations the walk served, against the walk
+    # (connectivity filtered afterwards, as the walk did): the same set,
+    # each diagram once, and N(k, m) of them with --noncrossing; (4, 6) is
+    # refused without --noncrossing by its arc entries (see the arc-entry
+    # test)
+    want = {(False, True): set(_ref_walk(k, m, noncrossing_only=True))}
+    if _ref_admits(k, m, False) and (k, m) != (4, 6):
+        want[False, False] = set(_ref_walk(k, m))
+        want[True, False] = {a for a in want[False, False] if _ref_connected(k, a)}
+    for flags, walked in want.items():
+        got = [d.arcs for d in enumerate_diagrams(k, m, *flags)]
+        assert len(got) == len(walked), (k, m, flags)
+        assert set(got) == walked, (k, m, flags)
+    assert len(want[False, True]) == counting._noncrossing_count(k, m, 10**9), (k, m)
+
+
 def test_family_1_is_the_walks_connected_noncrossing_set():
     # the descending class drawn arc for edge against the partial-matching
     # walk filtered by connectivity, at every size the walk admits
     sizes = 0
     for m in range(1, 8):
         for k in range(1, 7):
-            try:
-                walked = [d for d in enumerate_diagrams(k, m, noncrossing_only=True)
-                          if is_connected(d)]
-            except SizeLimitExceeded:
+            if not _ref_admits(k, m, True):
                 continue
-            drawn = list(enumerate_diagrams(k, m, True, True))
+            walked = {a for a in _ref_walk(k, m, True) if _ref_connected(k, a)}
+            drawn = [d.arcs for d in enumerate_diagrams(k, m, True, True)]
             assert len(set(drawn)) == len(drawn) == t_count(k, m), (k, m)
-            assert set(drawn) == set(walked), (k, m)
+            assert set(drawn) == walked, (k, m)
             sizes += 1
     assert sizes == 34
 
@@ -438,6 +582,20 @@ def test_family_1_is_guarded_by_t(monkeypatch):
     monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "1000")
     with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: output bound 1001 "):
         next(enumerate_diagrams(7, 3, True, True))
+
+
+@pytest.mark.parametrize(
+    "generator", [enumerate_trees, enumerate_diagrams, enumerate_angulations],
+    ids=["trees", "diagrams", "angulations"],
+)
+@pytest.mark.parametrize("size", [True, 3.0, "3"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("field", ["k", "m"])
+def test_generators_refuse_sizes_that_are_no_int(generator, size, field):
+    # one type rule before any guard: enumerate_trees(True, 3) yielded a
+    # tree, and a float or string size raised a bare TypeError
+    k, m = (size, 3) if field == "k" else (2, size)
+    with pytest.raises(MalformedJSON, match=f'^"{field}" must be an integer'):
+        next(generator(k, m))
 
 
 @pytest.mark.parametrize(

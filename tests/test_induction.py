@@ -371,6 +371,12 @@ def test_witness_none_for_adjacent():
     assert sigma_invariance_witness(4, 3, 2, 3) is None
 
 
+def test_witness_scan_refuses_zero_vertices():
+    # the scan's class is that of the empty cycle, refused as such
+    with pytest.raises(VertexOutOfRange, match="at least one vertex"):
+        sigma_invariance_witness(0, 3, 1, 2)
+
+
 def test_witness_none_on_middle_free_chains():
     # R_{1,3} keeps the circular order on every (1,3) chain with no S_2 edge
     # at it, over the range where it breaks on some other chain

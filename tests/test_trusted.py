@@ -33,7 +33,13 @@ from clustercomb.core import (
     circular_order,
     maximal_chains,
 )
-from clustercomb.counting import enumerate_angulations, enumerate_trees, t_count
+from clustercomb.counting import (
+    enumerate_angulations,
+    enumerate_diagrams,
+    enumerate_trees,
+    t_count,
+)
+from clustercomb.diagrams import RnaDiagram
 from clustercomb.induction import apply_L, apply_R, normal_form, orbit
 from test_core import random_tree
 
@@ -145,6 +151,19 @@ def _assert_same_fields(x, y):
             _assert_same_fields(a, b)
         else:
             assert type(a) is type(b) and a == b, (f.name, a, b)
+
+
+@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)],
+                         ids=["all", "connected", "noncrossing"])
+def test_trusted_diagrams_equal_their_parsed_copies(flags):
+    # the diagrams enumerate_diagrams builds unchecked, with their arcs in
+    # the constructor's order
+    count = 0
+    for k, m in ((4, 3), (3, 4), (5, 2), (6, 1)):
+        for d in enumerate_diagrams(k, m, *flags):
+            _assert_same_fields(d, RnaDiagram.from_json(d.to_json()))
+            count += 1
+    assert count
 
 
 @pytest.mark.parametrize("producer", ANGULATION_PRODUCERS)
