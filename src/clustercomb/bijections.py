@@ -536,7 +536,11 @@ def vertex1_decompose(diagram: RnaDiagram):
 
 
 def vertex1_recombine(value) -> RnaDiagram:
-    tag, payload = value
+    tag, payload = value if isinstance(value, (list, tuple)) and len(value) == 2 else (None, None)
+    parts = [payload] if tag == "extend" else payload if tag == "split" else None
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 1 + (tag == "split")
+            and all(isinstance(d, RnaDiagram) for d in parts)):
+        raise WrongObjectType(f'need ("extend", diagram) or ("split", (left, right)): {value!r}')
     if tag == "extend":
         ext: RnaDiagram = payload
         arcs = tuple(a for a in ext.arcs if a[1][0] != ext.k)
@@ -596,6 +600,9 @@ def sigma_decompose(diagram: RnaDiagram) -> tuple[RnaDiagram, ...]:
 
 
 def sigma_recombine(parts: Sequence[RnaDiagram]) -> RnaDiagram:
+    if not (isinstance(parts, (list, tuple)) and parts
+            and all(isinstance(p, RnaDiagram) and p.m == len(parts) for p in parts)):
+        raise WrongObjectType(f"need m >= 1 diagrams on m bases each, got {parts!r}")
     m = len(parts)
     k = sum(p.k - 1 for p in parts) + 1
     arcs = []

@@ -211,7 +211,7 @@ def _cmd_induct(args) -> int:
 
 def _cmd_orbit(args) -> int:
     tree = ColouredTree.from_json(sys.stdin.read())
-    edges = sorted(t.edges for t in ind._class_members(tree))
+    edges = sorted(ind._class_members(tree))
     if any(map(tuple.__eq__, edges, edges[1:])):  # a repeat is a package fault
         raise InvariantBroken("the induction class yielded a member twice")
     # json writes the edge tuples as it writes lists

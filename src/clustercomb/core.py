@@ -17,9 +17,9 @@ package checks its own field types with the one predicate `_is_int`, so a
 bool, float, numeric string or None is `MalformedJSON` naming the field,
 never coerced; JSON loading only parses.  Internal producers whose output
 is proper by a stated argument build their trees with
-`ColouredForest._trusted` instead, which runs no check: the circular-order
-class generator in `counting` and the relabellings of its class that
-`enumerate_trees` yields, the R/L successors in `induction`, the canonical
+`ColouredForest._trusted` instead, which runs no check: the members of
+the circular-order classes that `enumerate_trees` and `induction.orbit`
+read from `counting`'s class generator, the R/L successors, the canonical
 relabellings here and the descending relabelling in `bijections`.  Each
 call site states its argument.  `_trusted` does the same for the frozen
 objects of the other modules: the colourings and canonical rotations of

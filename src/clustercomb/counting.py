@@ -1,7 +1,7 @@
 """Closed-form counts, the identities connecting them, and exhaustive
-generators.  Trees have one generator: the circular-order class built from
-the rooted tree shapes, which `induction.orbit` uses as it is and
-`enumerate_trees` relabels onto every k-cycle.  It generates the
+generators.  Trees have one generator: the class of (1 2 ... k), built from
+the rooted tree shapes once per (k, m), which `induction.orbit` and
+`enumerate_trees` relabel onto the k-cycles they need.  It generates the
 noncrossing diagrams too: `enumerate_diagrams` draws, on each block of a
 noncrossing partition, a tree of the class of the descending order arc for
 edge, and family (1), the connected ones, is the one-block case.  Diagrams
@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .angulations import MAngulation
-from .core import (CircularOrder, ColouredTree, _check_ints, _check_permutation, _check_size,
-                   _relabelled, _trusted)
+from .core import (CircularOrder, ColouredTree, Edge, _check_ints, _check_permutation,
+                   _check_size, _trusted)
 from .diagrams import RnaDiagram, is_connected
 from .errors import SizeLimitExceeded, ValidationError, VertexOutOfRange
 
@@ -93,6 +93,7 @@ def _exact_div(num: int, den: int) -> int:
 
 def fuss_catalan(k: int, d: int) -> int:
     """The k-th Fuss-Catalan number of degree d: binom(dk, k)/((d-1)k+1)."""
+    _check_ints(k=k, d=d)
     if d < 1:
         raise VertexOutOfRange(f"Fuss-Catalan numbers need degree d >= 1, got {d}")
     if k < 0:
@@ -105,6 +106,7 @@ def fuss_catalan(k: int, d: int) -> int:
 def t_count(k: int, m: int) -> int:
     """Number of labelled m-edge-coloured trees on k vertices with circular
     order (k k-1 ... 1): m/((m-2)k+2) * binom((m-1)k, k-1)."""
+    _check_ints(k=k, m=m)
     if m < 1:
         raise VertexOutOfRange(f"T_(k,m) needs m >= 1, got m = {m}")
     if k < 0:
@@ -118,6 +120,7 @@ def t_count(k: int, m: int) -> int:
 
 def s_count(k: int, m: int) -> int:
     """Number of m-angulations of a fixed ((m-2)k+2)-gon: C_k^{m-1}."""
+    _check_ints(k=k, m=m)
     if m < 2:
         raise VertexOutOfRange(f"S_(k,m) needs m >= 2, got m = {m}")
     return fuss_catalan(k, m - 1)
@@ -127,6 +130,7 @@ def u_count(k: int, m: int) -> int:
     """Total number of labelled m-edge-coloured trees on k vertices:
     m*((m-1)k)! / ((m-2)k+2)!, which is 1 at k = 1 and otherwise m times the
     falling factorial of (m-1)k with k-2 factors (0 at m = 1 for k > 2)."""
+    _check_ints(k=k, m=m)
     if k < 1 or m < 1:
         raise VertexOutOfRange(f"U_(k,m) needs k >= 1 and m >= 1, got ({k},{m})")
     return 1 if k == 1 else m * math.perm((m - 1) * k, k - 2)
@@ -233,10 +237,11 @@ def _involution_power(k: int, m: int, cap: int) -> int:
     return next((b**e for e in range(1, m + 1) if b**e > cap), b**m)
 
 
-def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
-    """Yield each labelled m-edge-coloured tree of circular order `order`
-    once, with no R/L step and no dedupe set; nothing when `order` is not a
-    k-cycle.
+@functools.lru_cache(maxsize=8)
+def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
+    """The m-edge-coloured trees on 1..k of circular order (1 2 ... k), in
+    walk order: the distinct (parent, child, colour) triples the walk labels,
+    and each tree as the tuple of its triples' indices in that table.
 
     A rooted shape is an unlabelled tree with a root, in which the root has
     at most one child per colour and a vertex entered by colour c has at
@@ -245,11 +250,12 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
     the root's m planted subtrees, each counted by the Fuss-Catalan S, make
     T the m-fold convolution that `check_convolution` checks.
 
-    Each shape is labelled from its own circular order tau: the root gets
-    a = 1 and tau^i(root) gets sigma^i(a).  Relabelling commutes with the
-    circular order, so the labelled tree has order sigma.  Distinct shapes
-    give distinct trees, since the tree rooted at a is its shape again, so
-    the T_{k,m} trees of order sigma each come out exactly once.
+    Each shape is labelled from its own circular order tau: tau^i(root)
+    gets i + 1, so the labelled tree has order (1 2 ... k).  It is proper:
+    vertex t > 1 hangs from an earlier vertex by a colour no other edge
+    there has, and the labels are a bijection of 1..k.  Distinct shapes give
+    distinct trees, since the tree rooted at 1 is its shape again, so the
+    T_{k,m} trees of that order each come out exactly once.
 
     The shapes are walked depth first in preorder, without recursion:
     vertex t takes the last open (parent, colour) slot and then opens a set
@@ -259,10 +265,6 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
     tree.  The open slots form a linked stack, so each vertex with sets
     left keeps its stack at no cost, and going back to it resets the rows
     of the vertices placed after it."""
-    k = order.k
-    cycle = order.cycle_of(1)
-    if len(cycle) != k:
-        return
     colours = range(1, m + 1)
 
     @functools.cache
@@ -276,6 +278,7 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
     inv = [list(range(k + 1)) for _ in range(m + 1)]  # inv[c]: S_c on the shape
     rows = inv[1:]
     par, col = [0] * (k + 1), [0] * (k + 1)  # parent and parent edge colour
+    index, shapes = {}, []  # each labelled triple's place in the table; the trees
     # the open (parent, colour) slots as nested (parent, colour, rest)
     # triples, the root's slot (0, 0) at first, and how many there are
     slots, n = (0, 0, ()), 1
@@ -303,18 +306,13 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
                 tau = list(map(inv[c].__getitem__, tau))
             label = [0] * (k + 1)
             v = 1
-            for a in cycle:
+            for a in range(1, k + 1):
                 label[v] = a
                 v = tau[v]
-            # a proper tree: each vertex t > 1 hangs from an earlier vertex
-            # par[t] by a colour no other edge at par[t] has, and the labels
-            # are a bijection of 1..k; only orient and sort the edges
-            edges = [(a, b, c) if a < b else (b, a, c)
-                     for a, b, c in zip(map(label.__getitem__, par[2:]), label[2:], col[2:])]
-            edges.sort()
-            yield ColouredTree._trusted(k, m, tuple(edges))
+            triples = zip(map(label.__getitem__, par[2:]), label[2:], col[2:])
+            shapes.append(tuple([index.setdefault(e, len(index)) for e in triples]))
         if not branches:
-            return
+            return tuple(index), tuple(shapes)
         # back to the last vertex u with a set left.  Its later vertices get
         # their rows reset; the slots they filled at vertices below u are
         # open again, so the next shape overwrites those entries, and only
@@ -332,6 +330,25 @@ def _order_class(m: int, order: CircularOrder) -> Iterator[ColouredTree]:
         t, n = u, n + len(sets[i])
 
 
+def _order_class(m: int, order: CircularOrder) -> Iterator[tuple[Edge, ...]]:
+    """Yield the sorted edges of each m-edge-coloured tree of circular order
+    `order` once, in walk order; nothing when `order` is no k-cycle.  With
+    (1 a_2 ... a_k) its cycle, this is the class of (1 2 ... k) relabelled
+    by i -> a_i, which commutes with the circular order and so maps one
+    class onto the other bijectively, proper trees to proper trees; each
+    distinct triple is relabelled and oriented once.  The cache keeps 8
+    classes, each at most 10^6 trees of 10^7 edges under the default guards:
+    (12, 3), the largest m = 3 class they admit, has 534 888 of 11 indices."""
+    rel = (0, *order.cycle_of(1))  # standard label i -> the i-th vertex of the cycle
+    if len(rel) != order.k + 1:
+        return
+    triples, shapes = _standard_class(order.k, m)
+    edges = [(a, b, c) if a < b else (b, a, c)
+             for a, b, c in ((rel[p], rel[q], c) for p, q, c in triples)]
+    for shape in shapes:
+        yield tuple(sorted(map(edges.__getitem__, shape)))
+
+
 def enumerate_trees(
     k: int, m: int, order: CircularOrder | Sequence[int] | None = None
 ) -> Iterator[ColouredTree]:
@@ -339,31 +356,28 @@ def enumerate_trees(
     class, or with an order every tree of that circular order; each class
     comes sorted by edges.
 
-    The class of the cycle (1 2 ... k) is built once by `_order_class`, and
-    the class of a k-cycle (1 a_2 ... a_k) is that class relabelled by
-    i -> a_i.  Relabelling commutes with the circular order, so it maps the
-    one class onto the other bijectively; distinct k-cycles give disjoint
-    classes, and the (k-1)! of them hold (k-1)! * T = U trees, which is
-    every tree exactly once (Gessel's count).  Without an order the cycles
-    come in lexicographic order of (a_2, ..., a_k) and the whole is guarded
-    by U; with an order its cycle through 1 is the only one, guarded by T,
-    and a cycle shorter than k yields nothing."""
+    The class of a k-cycle (1 a_2 ... a_k) is the class of (1 2 ... k),
+    walked once per (k, m) and cached, relabelled by i -> a_i: relabelling
+    commutes with the circular order, so it maps the one class onto the
+    other bijectively (`_order_class`, which states the cache's size).
+    Distinct k-cycles give disjoint classes, and the (k-1)! of them hold
+    (k-1)! * T = U trees, every tree exactly once (Gessel's count).  Without
+    an order the cycles come in lexicographic order of (a_2, ..., a_k),
+    guarded by U; with an order its cycle through 1 is the only one, guarded
+    by T, and a cycle shorter than k yields nothing."""
     _check_ints(k=k, m=m)
     _check_size(k, m)  # the trees are built trusted, so their size is checked here
     _guard("enumerate_trees", ("U" if order is None else "T", k, m), k - 1)
     if order is None:
-        cycles = ((1, *rest) for rest in itertools.permutations(range(2, k + 1)))
+        rests = itertools.permutations(range(2, k + 1))
+        orders = (CircularOrder.from_cycle((1, *rest)) for rest in rests)
     else:
         if not isinstance(order, CircularOrder):
             order = CircularOrder(tuple(order))
         _check_permutation(order.perm, k, "order")
-        cycles = [order.cycle_of(1)]
-        if len(cycles[0]) != k:  # no k-cycle: no tree has this order
-            return
-    base = list(_order_class(m, CircularOrder((*range(2, k + 1), 1))))
-    for cycle in cycles:
-        label = (0, *cycle)
-        yield from sorted((_relabelled(t, label) for t in base), key=lambda t: t.edges)
+        orders = [order]
+    for order in orders:
+        yield from (ColouredTree._trusted(k, m, e) for e in sorted(_order_class(m, order)))
 
 
 def _noncrossing_count(k: int, m: int, cap: int) -> int:
@@ -433,13 +447,12 @@ def enumerate_diagrams(
     _check_size(k, m)
     if connected_only and noncrossing_only:
         _guard("enumerate_diagrams", ("T", k, m), k - 1)
-        for t in _order_class(m, CircularOrder.descending(k)):
-            yield RnaDiagram(k, m, tuple(((u, c), (v, c)) for u, v, c in t.edges))
+        for edges in _order_class(m, CircularOrder.descending(k)):
+            yield RnaDiagram(k, m, tuple(((u, c), (v, c)) for u, v, c in edges))
         return
     if noncrossing_only:
         _guard("enumerate_diagrams", _noncrossing_count(k, m, _work_limit()), k - 1)
-        drawn = {r: [t.edges for t in _order_class(m, CircularOrder.descending(r))]
-                 for r in range(1, k + 1)}
+        drawn = {r: list(_order_class(m, CircularOrder.descending(r))) for r in range(1, k + 1)}
 
         def fill(lo: int, hi: int) -> Iterator[tuple]:
             """The noncrossing arc sets on the vertices lo..hi, lo <= hi."""

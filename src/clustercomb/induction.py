@@ -271,10 +271,10 @@ def _unwind(target, parents, l):
     return steps
 
 
-def _class_members(tree: ColouredTree) -> Iterator[ColouredTree]:
-    """A generator of each member of the induction equivalence class of a
-    tree once: the trees sharing its circular order, built shape by shape
-    by `counting._order_class`, with no R/L step taken.  The class has
+def _class_members(tree: ColouredTree) -> Iterator[tuple[Edge, ...]]:
+    """The sorted edges of each member of the induction class of a tree
+    once: the trees sharing its circular order, relabelled from one cached
+    class by `counting._order_class`, with no R/L step taken.  The class has
     T_{k,m} members and is refused, at this call, when that exceeds the
     CLUSTERCOMB_MAX_WORK work limit, or their T(k-1) edges ten times it."""
     _guard("orbit", ("T", tree.k, tree.m), tree.k - 1)
@@ -282,9 +282,9 @@ def _class_members(tree: ColouredTree) -> Iterator[ColouredTree]:
 
 
 def orbit(tree: ColouredTree) -> frozenset[ColouredTree]:
-    """`_class_members` as a set, which the verify suite's induction check
-    compares with the R_i closure of the tree."""
-    return frozenset(_class_members(tree))
+    """`_class_members` as a set of trees, which the verify suite's
+    induction check compares with the R_i closure of the tree."""
+    return frozenset(ColouredTree._trusted(tree.k, tree.m, e) for e in _class_members(tree))
 
 
 def equivalent(g: ColouredTree, g2: ColouredTree) -> bool:

@@ -45,6 +45,7 @@ from clustercomb.errors import (
     MalformedJSON,
     NotInFamily,
     WrongCircularOrder,
+    WrongObjectType,
 )
 from clustercomb.verify import bijection_suite
 
@@ -355,6 +356,28 @@ def test_vertex1_decompose_round_trips_and_counts():
         for v in range(1, k + 1):
             assert by_v[v] == s_count(v - 1, 3) * s_count(k + 1 - v, 3)
         assert sum(by_v.values()) == t_count(k, 3)
+
+
+_ONE, _TWO = RnaDiagram(1, 3, ()), RnaDiagram(2, 3, (((1, 1), (2, 1)),))
+
+
+@pytest.mark.parametrize("value", [("x", 1), ("extend", 1), ("extend", (_TWO,)), ("split", _TWO),
+                                   ("split", (_TWO,)), ("split", (_TWO, _TWO, _TWO)),
+                                   ("split", (_TWO, "x")), ("extend",), 5, None, "ab"])
+def test_vertex1_recombine_refuses_what_decompose_never_returns(value):
+    # ("x", 1) raised a bare TypeError while unpacking the payload
+    with pytest.raises(WrongObjectType, match="^need"):
+        vertex1_recombine(value)
+    assert vertex1_recombine(["split", [_TWO, _TWO]]) == vertex1_recombine(("split", (_TWO, _TWO)))
+
+
+@pytest.mark.parametrize("parts", [[], (), 3, None, "abc", [_ONE], [_ONE, _ONE], (_ONE, "x", _ONE)])
+def test_sigma_recombine_refuses_what_decompose_never_returns(parts):
+    # [] raised VertexOutOfRange about "m", a field the caller never gave;
+    # the windows are m diagrams on m bases each
+    with pytest.raises(WrongObjectType, match="^need m >= 1 diagrams"):
+        sigma_recombine(parts)
+    assert sigma_recombine([_ONE, _ONE, _ONE]) == _ONE
 
 
 @pytest.mark.parametrize("decompose", [vertex1_decompose, sigma_decompose])

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -614,3 +616,126 @@ def test_negative_sizes_refused(call):
     # a named error, not a ValueError from math.comb or an IndexError
     with pytest.raises(VertexOutOfRange):
         call()
+
+
+@pytest.mark.parametrize("count,fields", [(fuss_catalan, "kd"), (t_count, "km"), (s_count, "km"),
+                                          (u_count, "km")], ids=["fuss", "T", "S", "U"])
+@pytest.mark.parametrize("size", [True, 3.0, "3"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+def test_counts_refuse_sizes_that_are_no_int(count, fields, size, second):
+    # the generators' type rule: t_count(2.0, 3) raised a bare TypeError
+    # from math.comb, and u_count(True, 3) returned 1
+    args = (2, size) if second else (size, 3)
+    with pytest.raises(MalformedJSON, match=f'^"{fields[second]}" must be an integer'):
+        count(*args)
+
+
+def _ref_order_class(m, order):
+    """The sorted edges of each tree of circular order `order`, by the
+    library's earlier per-order walk: every rooted shape, walked in
+    preorder, is labelled from its own circular order tau, the root getting
+    1 and tau^i(root) getting sigma^i(1).  It shares no code with the
+    library's class generator."""
+    k = order.k
+    cycle = order.cycle_of(1)
+    if len(cycle) != k:
+        return
+    colours = range(1, m + 1)
+
+    @functools.cache
+    def options(c, least, room):
+        free = [x for x in colours if x != c]
+        sizes = range(least, min(room, len(free)) + 1)
+        return [x[::-1] for n in sizes for x in itertools.combinations(free, n)]
+
+    inv = [list(range(k + 1)) for _ in range(m + 1)]
+    rows = inv[1:]
+    par, col = [0] * (k + 1), [0] * (k + 1)
+    slots, n = (0, 0, ()), 1
+    branches = []
+    t = 0
+    while True:
+        while slots:
+            t += 1
+            p, c, slots = slots
+            n -= 1
+            par[t], col[t] = p, c
+            inv[c][p], inv[c][t] = t, p
+            sets = options(c, 0 if n or t == k else 1, k - t - n)
+            if not sets:
+                break
+            if len(sets) > 1:
+                branches.append((t, sets, 1, slots, n))
+            for c in sets[0]:
+                slots = (t, c, slots)
+            n += len(sets[0])
+        else:
+            tau = inv[1]
+            for c in colours[1:]:
+                tau = list(map(inv[c].__getitem__, tau))
+            label = [0] * (k + 1)
+            v = 1
+            for a in cycle:
+                label[v] = a
+                v = tau[v]
+            edges = [(a, b, c) if a < b else (b, a, c)
+                     for a, b, c in zip(map(label.__getitem__, par[2:]), label[2:], col[2:])]
+            yield tuple(sorted(edges))
+        if not branches:
+            return
+        u, sets, i, slots, n = branches.pop()
+        tail = range(u + 1, t + 1)
+        for row in rows:
+            row[u + 1:t + 1] = tail
+        for c in sets[i - 1]:
+            inv[c][u] = u
+        if i + 1 < len(sets):
+            branches.append((u, sets, i + 1, slots, n))
+        for c in sets[i]:
+            slots = (u, c, slots)
+        t, n = u, n + len(sets[i])
+
+
+def _reference_orders(k):
+    """The standard and the descending k-cycle, then three seeded ones."""
+    rng = random.Random(k)
+    yield CircularOrder.from_cycle(range(1, k + 1))
+    yield CircularOrder.descending(k)
+    for _ in range(3):
+        rest = list(range(2, k + 1))
+        rng.shuffle(rest)
+        yield CircularOrder.from_cycle((1, *rest))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_order_class_is_the_reference_walk_relabelled(m):
+    # the cached class of (1 2 ... k), relabelled, is the per-order walk,
+    # member for member in the same order, from a cold and a warm cache
+    for k in range(1, 7):
+        for order in _reference_orders(k):
+            want = list(_ref_order_class(m, order))
+            assert len(want) == t_count(k, m)
+            assert list(counting._order_class(m, order)) == want
+    assert counting._standard_class.cache_info().misses == 6
+
+
+def test_a_cached_class_is_still_guarded(monkeypatch):
+    # the guards run before the cache is read: with the (6, 3) class cached,
+    # a limit one below T(6, 3) = 297 refuses each of its three consumers,
+    # and none of them reads the cache
+    monkeypatch.delenv("CLUSTERCOMB_MAX_WORK", raising=False)
+    order = CircularOrder.descending(6)
+    tree = next(enumerate_trees(6, 3, order))
+    info = counting._standard_class.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "296")
+    with pytest.raises(SizeLimitExceeded, match="^orbit: output bound 297 "):
+        orbit(tree)
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_trees: output bound 297 "):
+        next(enumerate_trees(6, 3, order))
+    with pytest.raises(SizeLimitExceeded, match="^enumerate_diagrams: output bound 297 "):
+        next(enumerate_diagrams(6, 3, True, True))
+    assert counting._standard_class.cache_info() == info
+    monkeypatch.setenv("CLUSTERCOMB_MAX_WORK", "297")
+    assert len(orbit(tree)) == 297
+    assert counting._standard_class.cache_info().hits == info.hits + 1

@@ -230,7 +230,7 @@ def test_orbit_equals_sigma_class():
 @pytest.mark.parametrize("k,m", [(1, 3), (4, 4), (5, 3), (3, 5)])
 def test_orbit_validates_each_new_tree_once(monkeypatch, k, m):
     # every member is built once and trusted, the input tree's equal
-    # included: `_order_class` builds proper trees, so none is validated
+    # included: `_order_class` yields proper trees' edges, so none is validated
     tree = next(enumerate_trees(k, m))
     validate = ColouredForest.__post_init__
     calls = []
