@@ -1,7 +1,7 @@
 """Closed-form counts, the identities connecting them, and exhaustive
-generators.  Trees have one generator: the class of (1 2 ... k), built from
-the rooted tree shapes once per (k, m), which `induction.orbit` and
-`enumerate_trees` relabel onto the k-cycles they need.  It generates the
+generators.  Trees have one generator: the class of (1 2 ... k), walked
+from the rooted tree shapes, which `induction.orbit` and `enumerate_trees`
+relabel onto the k-cycles they need.  It generates the
 noncrossing diagrams too: `enumerate_diagrams` draws, on each block of a
 noncrossing partition, a tree of the class of the descending order arc for
 edge, and family (1), the connected ones, is the one-block case.  Diagrams
@@ -237,11 +237,11 @@ def _involution_power(k: int, m: int, cap: int) -> int:
     return next((b**e for e in range(1, m + 1) if b**e > cap), b**m)
 
 
-@functools.lru_cache(maxsize=8)
-def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
-    """The m-edge-coloured trees on 1..k of circular order (1 2 ... k), in
-    walk order: the distinct (parent, child, colour) triples the walk labels,
-    and each tree as the tuple of its triples' indices in that table.
+def _shapes(k: int, m: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The rooted shapes on k vertices with m colours, each labelled so that
+    its tree has circular order (1 2 ... k): per shape, in walk order, the
+    label, parent and parent edge colour of each walk vertex.  The lists are
+    the walk's own and change at the next shape.
 
     A rooted shape is an unlabelled tree with a root, in which the root has
     at most one child per colour and a vertex entered by colour c has at
@@ -278,7 +278,6 @@ def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
     inv = [list(range(k + 1)) for _ in range(m + 1)]  # inv[c]: S_c on the shape
     rows = inv[1:]
     par, col = [0] * (k + 1), [0] * (k + 1)  # parent and parent edge colour
-    index, shapes = {}, []  # each labelled triple's place in the table; the trees
     # the open (parent, colour) slots as nested (parent, colour, rest)
     # triples, the root's slot (0, 0) at first, and how many there are
     slots, n = (0, 0, ()), 1
@@ -309,10 +308,9 @@ def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
             for a in range(1, k + 1):
                 label[v] = a
                 v = tau[v]
-            triples = zip(map(label.__getitem__, par[2:]), label[2:], col[2:])
-            shapes.append(tuple([index.setdefault(e, len(index)) for e in triples]))
+            yield label, par, col
         if not branches:
-            return tuple(index), tuple(shapes)
+            return
         # back to the last vertex u with a set left.  Its later vertices get
         # their rows reset; the slots they filled at vertices below u are
         # open again, so the next shape overwrites those entries, and only
@@ -330,23 +328,60 @@ def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
         t, n = u, n + len(sets[i])
 
 
+@functools.lru_cache(maxsize=8)
+def _standard_class(k: int, m: int) -> tuple[tuple, tuple]:
+    """The class of (1 2 ... k) in walk order, as a table: the distinct
+    (parent, child, colour) triples the shapes label, and each tree as the
+    tuple of its triples' indices in that table."""
+    index: dict = {}
+    shapes = [tuple([index.setdefault(e, len(index))
+                     for e in zip(map(label.__getitem__, par[2:]), label[2:], col[2:])])
+              for label, par, col in _shapes(k, m)]
+    return tuple(index), tuple(shapes)
+
+
+_KEPT_EDGES = 10_000  # the most edge entries, T(k-1), of a class the cache keeps
+
+
 def _order_class(m: int, order: CircularOrder) -> Iterator[tuple[Edge, ...]]:
     """Yield the sorted edges of each m-edge-coloured tree of circular order
     `order` once, in walk order; nothing when `order` is no k-cycle.  With
     (1 a_2 ... a_k) its cycle, this is the class of (1 2 ... k) relabelled
     by i -> a_i, which commutes with the circular order and so maps one
-    class onto the other bijectively, proper trees to proper trees; each
-    distinct triple is relabelled and oriented once.  The cache keeps 8
-    classes, each at most 10^6 trees of 10^7 edges under the default guards:
-    (12, 3), the largest m = 3 class they admit, has 534 888 of 11 indices."""
+    class onto the other bijectively, proper trees to proper trees.
+
+    A class shares its triples when its T(k-1) edge entries outnumber the
+    k(k-1)m triples there are, that is T > km (never at m = 2, where T = k);
+    each of those triples is then relabelled once per call.  Such a class of
+    at most 10 000 entries, up to (7, 3) at m = 3, is read from a table
+    built on its first call and kept, for a process that asks for its size
+    again, in an LRU cache of 8 classes of at most about 0.2 MB each.  Any
+    other class is streamed from the walk and leaves nothing behind."""
+    k = order.k
     rel = (0, *order.cycle_of(1))  # standard label i -> the i-th vertex of the cycle
-    if len(rel) != order.k + 1:
+    if len(rel) != k + 1:
         return
-    triples, shapes = _standard_class(order.k, m)
-    edges = [(a, b, c) if a < b else (b, a, c)
-             for a, b, c in ((rel[p], rel[q], c) for p, q, c in triples)]
-    for shape in shapes:
-        yield tuple(sorted(map(edges.__getitem__, shape)))
+    t = t_count(k, m)
+    if t <= k * m:  # few trees, or m <= 2: label each one as it is walked
+        for label, par, col in _shapes(k, m):
+            label = list(map(rel.__getitem__, label))
+            edges = [(a, b, c) if a < b else (b, a, c)
+                     for a, b, c in zip(map(label.__getitem__, par[2:]), label[2:], col[2:])]
+            edges.sort()
+            yield tuple(edges)
+        return
+    vertices, colours = range(1, k + 1), range(1, m + 1)
+    shared = {(p, q, c): (rel[p], rel[q], c) if rel[p] < rel[q] else (rel[q], rel[p], c)
+              for p in vertices for q in vertices if p != q for c in colours}
+    if t * (k - 1) <= _KEPT_EDGES:
+        triples, shapes = _standard_class(k, m)
+        edges = list(map(shared.__getitem__, triples))
+        for shape in shapes:
+            yield tuple(sorted(map(edges.__getitem__, shape)))
+        return
+    for label, par, col in _shapes(k, m):
+        triples = zip(map(label.__getitem__, par[2:]), label[2:], col[2:])
+        yield tuple(sorted(map(shared.__getitem__, triples)))
 
 
 def enumerate_trees(
@@ -356,10 +391,10 @@ def enumerate_trees(
     class, or with an order every tree of that circular order; each class
     comes sorted by edges.
 
-    The class of a k-cycle (1 a_2 ... a_k) is the class of (1 2 ... k),
-    walked once per (k, m) and cached, relabelled by i -> a_i: relabelling
-    commutes with the circular order, so it maps the one class onto the
-    other bijectively (`_order_class`, which states the cache's size).
+    The class of a k-cycle (1 a_2 ... a_k) is the class of (1 2 ... k)
+    relabelled by i -> a_i: relabelling commutes with the circular order,
+    so it maps the one class onto the other bijectively (`_order_class`,
+    which states which classes are cached and the cache's size).
     Distinct k-cycles give disjoint classes, and the (k-1)! of them hold
     (k-1)! * T = U trees, every tree exactly once (Gessel's count).  Without
     an order the cycles come in lexicographic order of (a_2, ..., a_k),

@@ -273,8 +273,8 @@ def _unwind(target, parents, l):
 
 def _class_members(tree: ColouredTree) -> Iterator[tuple[Edge, ...]]:
     """The sorted edges of each member of the induction class of a tree
-    once: the trees sharing its circular order, relabelled from one cached
-    class by `counting._order_class`, with no R/L step taken.  The class has
+    once: the trees sharing its circular order, the class of (1 2 ... k)
+    relabelled by `counting._order_class`, with no R/L step taken.  The class has
     T_{k,m} members and is refused, at this call, when that exceeds the
     CLUSTERCOMB_MAX_WORK work limit, or their T(k-1) edges ten times it."""
     _guard("orbit", ("T", tree.k, tree.m), tree.k - 1)

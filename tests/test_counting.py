@@ -707,16 +707,42 @@ def _reference_orders(k):
         yield CircularOrder.from_cycle((1, *rest))
 
 
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "streamed"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_order_class_is_the_reference_walk_relabelled(m):
-    # the cached class of (1 2 ... k), relabelled, is the per-order walk,
-    # member for member in the same order, from a cold and a warm cache
+def test_order_class_is_the_reference_walk_relabelled(monkeypatch, m, kept):
+    # the class of (1 2 ... k), relabelled, is the per-order walk, member
+    # for member in the same order: from the kept table, cold and warm,
+    # and, with no class small enough to keep, streamed from the walk
+    if not kept:
+        monkeypatch.setattr(counting, "_KEPT_EDGES", 0)
     for k in range(1, 7):
         for order in _reference_orders(k):
             want = list(_ref_order_class(m, order))
             assert len(want) == t_count(k, m)
             assert list(counting._order_class(m, order)) == want
-    assert counting._standard_class.cache_info().misses == 6
+    # a table is built only for a class whose trees share their triples
+    # (T > km) and whose T(k-1) edge entries fit the kept size
+    tables = [k for k in range(1, 7)
+              if k * m < t_count(k, m) and t_count(k, m) * (k - 1) <= counting._KEPT_EDGES]
+    assert counting._standard_class.cache_info().misses == len(tables)
+
+
+def test_a_class_too_large_to_keep_streams(monkeypatch):
+    # a class above the kept size is walked shape by shape as it is read:
+    # family (1)'s first diagram comes after one shape, and no table stays
+    monkeypatch.setattr(counting, "_KEPT_EDGES", t_count(6, 3) * 5 - 1)
+    walked = []
+    real = counting._shapes
+
+    def spy(k, m):
+        for shape in real(k, m):
+            walked.append(k)
+            yield shape
+
+    monkeypatch.setattr(counting, "_shapes", spy)
+    first = next(enumerate_diagrams(6, 3, True, True))
+    assert walked == [6] and first.k == 6
+    assert counting._standard_class.cache_info().currsize == 0
 
 
 def test_a_cached_class_is_still_guarded(monkeypatch):

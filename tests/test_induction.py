@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clustercomb import induction
+from clustercomb import counting, induction
 from clustercomb.core import (
     Chain,
     CircularOrder,
@@ -281,6 +281,8 @@ def test_orbit_of_a_long_two_colour_path():
     assert len(orb) == t_count(k, 2) == k and path in orb
     sig = circular_order(path)
     assert all(circular_order(t) == sig for t in orb)
+    # at m = 2 no two of the T = k trees share a triple, so none is kept
+    assert counting._standard_class.cache_info().currsize == 0
 
 
 def test_equivalent():
